@@ -12,7 +12,8 @@ the existing execution stack:
   murder points for tests), exactly as ``Study.run`` would;
 * with ``checkpoint_cycles`` the in-flight cycle journals to a crawl
   checkpoint next to the store, so a daemon killed mid-cycle resumes
-  the cycle byte-identically instead of re-crawling it;
+  the cycle byte-identically instead of re-crawling it (supervised or
+  not);
 * records stream through a :class:`~repro.audit.streaming.
   StreamingComparisons` sink as rounds land (no end-of-run batch
   pass), the per-cell summary goes through the audit's
@@ -95,11 +96,6 @@ class AuditSpec:
             raise ValueError("cycles must be >= 1 or None")
         if self.retention_cycles is not None and self.retention_cycles < 1:
             raise ValueError("retention_cycles must be >= 1 or None")
-        if self.checkpoint_cycles and self.supervise:
-            raise ValueError(
-                "checkpoint_cycles and supervise cannot be combined "
-                "(supervision keeps shard snapshots in memory, not a journal)"
-            )
         if self.checkpoint_cycles and self.trace_cycles:
             raise ValueError(
                 "checkpoint_cycles and trace_cycles cannot be combined "
@@ -310,6 +306,7 @@ class AuditScheduler:
                 study,
                 workers=spec.workers,
                 sink=sink,
+                checkpoint=checkpoint,
                 trace=trace,
                 supervise=True,
                 policy=policy,

@@ -86,8 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--supervise",
         action="store_true",
         help="run workers under repro.supervise: heartbeat monitoring, "
-        "crash/hang recovery, shard reassignment (incompatible with "
-        "--checkpoint)",
+        "crash/hang recovery, shard reassignment",
     )
     run.add_argument(
         "--trace",
@@ -1255,13 +1254,6 @@ def _cmd_chaos(args) -> int:
     if args.kill_workers:
         import dataclasses
 
-        if args.checkpoint:
-            print(
-                "--kill-workers keeps shard snapshots in memory and cannot "
-                "be combined with --checkpoint",
-                file=sys.stderr,
-            )
-            return 2
         plan = dataclasses.replace(
             plan,
             worker_crash_rate=args.crash_rate,
@@ -1300,7 +1292,11 @@ def _cmd_chaos(args) -> int:
         from repro.parallel import run_parallel
 
         dataset = run_parallel(
-            study, workers=args.workers, supervise=True, policy=policy
+            study,
+            workers=args.workers,
+            checkpoint=args.checkpoint,
+            supervise=True,
+            policy=policy,
         )
     else:
         dataset = study.run(workers=args.workers, checkpoint=args.checkpoint)

@@ -47,6 +47,7 @@ from repro.faults.breaker import BreakerBoard
 from repro.faults.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointWriter,
+    ResumeState,
     load_checkpoint,
 )
 from repro.faults.injector import (
@@ -293,12 +294,14 @@ class Study:
         self.treatments = self._build_treatments()
         self.failures: List[CrawlFailure] = []
         self.stats = CrawlStats()
-        # How many parallel workers had to rebuild this apparatus from
-        # the config instead of inheriting it (fork passes the built
-        # study; spawn falls back to pickling, then to rebuilding).
-        # Accumulated by the executor's merge; 0 on fork platforms.
+        # How many parallel shard executions built this apparatus from
+        # the config instead of inheriting it.  Unsupervised workers get
+        # the built study (fork passes it; spawn pickles it and only
+        # rebuilds if it will not pickle), so 0 on fork platforms;
+        # supervised runs build every execution from the config.
+        # Accumulated by the executor's merge.
         self.worker_rebuilds = 0
-        # Set by repro.supervise when the run is supervised: the
+        # Set by the parallel executor when the run is supervised: the
         # SupervisorReport (counters + recovery ledger).  Kept as a
         # plain attribute so this module never imports the supervisor.
         self.supervisor = None
@@ -364,7 +367,8 @@ class Study:
                 a compatible journal, the study resumes after its last
                 durable round and the final dataset, stats, and failure
                 log are byte-identical to an uninterrupted run.  The
-                worker count must match the journal's.
+                worker count must match the journal's; ``supervise``
+                need not, and composes with it.
             trace: Optional path for a canonical JSONL trace (see
                 :mod:`repro.obs`).  The trace file is byte-identical
                 for any ``workers`` count.  Cannot be combined with
@@ -377,15 +381,16 @@ class Study:
                 is byte-identical for any ``workers`` count **and**
                 composes with ``checkpoint`` — a resumed run replays
                 the journaled rounds' events before crawling on.
-            supervise: Run under :mod:`repro.supervise`: worker
-                processes get heartbeat/exit-code monitoring, and a
-                crashed or hung worker's shard is re-executed from its
-                last snapshot (respawn or reassignment) with the merged
-                output still byte-identical.  Applies even at
-                ``workers=1`` (a single supervised worker still gets
-                crash recovery).  Cannot be combined with
-                ``checkpoint`` — supervision keeps shard snapshots in
-                memory instead of a journal.
+            supervise: Turn on recovery in the parallel executor
+                (see :mod:`repro.supervise`): a crashed, hung, or
+                erroring worker's shard is re-executed from its last
+                snapshot (respawn or reassignment) with the merged
+                output still byte-identical, instead of failing the
+                run.  Applies even at ``workers=1`` (a single
+                supervised worker still gets crash recovery), and
+                composes with ``checkpoint`` — the parent journals
+                every shard's snapshot, so a killed supervised run
+                resumes like any other.
         """
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -460,35 +465,51 @@ class Study:
 
         return build_study_registry(self, include_caches=include_caches)
 
+    def _open_journal(
+        self, path: str, workers: int, replay
+    ) -> Tuple[CheckpointWriter, ResumeState]:
+        """Open the round journal at ``path`` for a ``workers``-shard run.
+
+        A fresh file gets a header; an existing journal is checked
+        against this study, truncated to its durable prefix, and each
+        journalled round is handed to ``replay(ordinal, outcomes)`` in
+        schedule order, so the caller's dataset, sink, failure log, and
+        event log catch up before crawling resumes.  Returns the writer
+        and the resume point (``next_ordinal`` plus every shard's
+        state), which is empty for a fresh journal.  The sequential run
+        and the parallel executor both open journals here.
+        """
+        fingerprint = self.checkpoint_fingerprint()
+        resume = load_checkpoint(
+            path, expected_fingerprint=fingerprint, workers=workers
+        )
+        if resume is None:
+            header = {
+                "version": CHECKPOINT_VERSION,
+                "workers": workers,
+                "fingerprint": fingerprint,
+            }
+            return CheckpointWriter.create(path, header), ResumeState()
+        for ordinal, outcomes in enumerate(resume.rounds):
+            replay(ordinal, [deserialize_outcome(payload) for payload in outcomes])
+        return CheckpointWriter.append_to(path), resume
+
     def _run_checkpointed(
         self, dataset: SerpDataset, path: str, event_builder=None
     ) -> SerpDataset:
         """Sequential run with a durable round journal (see :meth:`run`)."""
-        fingerprint = self.checkpoint_fingerprint()
-        resume = load_checkpoint(path, expected_fingerprint=fingerprint, workers=1)
-        if resume is not None:
-            for ordinal, outcomes in enumerate(resume.rounds):
-                decoded = [deserialize_outcome(payload) for payload in outcomes]
-                self._commit_outcomes(dataset, decoded)
-                if event_builder is not None:
-                    event_builder.add_round(ordinal, list(enumerate(decoded)))
-            if resume.next_ordinal > 0:
-                self.restore_state(resume.worker_states[0])
-            writer = CheckpointWriter.append_to(path)
-            start = resume.next_ordinal
-        else:
-            writer = CheckpointWriter.create(
-                path,
-                {
-                    "version": CHECKPOINT_VERSION,
-                    "workers": 1,
-                    "fingerprint": fingerprint,
-                },
-            )
-            start = 0
+
+        def release(ordinal: int, outcomes) -> None:
+            self._commit_outcomes(dataset, outcomes)
+            if event_builder is not None:
+                event_builder.add_round(ordinal, list(enumerate(outcomes)))
+
+        writer, resume = self._open_journal(path, 1, release)
+        if resume.next_ordinal > 0:
+            self.restore_state(resume.worker_states[0])
         try:
             for scheduled in self.iter_rounds():
-                if scheduled.ordinal < start:
+                if scheduled.ordinal < resume.next_ordinal:
                     continue
                 outcomes = [
                     self._crawl_treatment(index, treatment, scheduled)
@@ -502,11 +523,7 @@ class Study:
                     [serialize_outcome(outcome) for outcome in outcomes],
                     {0: self.capture_state(scheduled.timestamp)},
                 )
-                self._commit_outcomes(dataset, outcomes)
-                if event_builder is not None:
-                    event_builder.add_round(
-                        scheduled.ordinal, list(enumerate(outcomes))
-                    )
+                release(scheduled.ordinal, outcomes)
         finally:
             writer.close()
         return dataset

@@ -4,7 +4,8 @@ Public surface:
 
 * :func:`run_parallel` — execute a :class:`~repro.core.runner.Study`
   sharded over N worker processes, byte-identical to the sequential
-  run (reachable as ``Study.run(workers=N)``);
+  run (reachable as ``Study.run(workers=N)``); the one executor, with
+  recovery on under ``supervise=True``;
 * :func:`plan_shards` / :class:`ShardPlan` — the machine-granular
   treatment partition the parity argument rests on;
 * :func:`run_crawl_bench` — the worker-count sweep behind

@@ -176,8 +176,8 @@ class BenchReport:
     byte-identical to the plain sequential run."""
     supervise_layer: Optional[dict] = None
     """Supervision overhead: one clean run under ``supervise=True`` at
-    the sweep's largest worker count (heartbeats, snapshot capture, and
-    the parent-side watchdog all active, nothing failing), compared
+    the sweep's largest worker count (recovery on: per-round snapshot
+    capture and config-built workers, nothing failing), compared
     against the same worker count unsupervised — plus a kill-and-
     recover datapoint: the same run with a worker SIGKILLed at a round
     boundary, measuring what one full recovery costs end-to-end.  Both
@@ -555,10 +555,13 @@ def run_crawl_bench(
             "events-on", wall, dataset_digest(dataset), events=len(events)
         )
 
-    # Supervision overhead: heartbeats + per-round snapshot capture +
-    # the parent watchdog, measured clean against the same worker count
-    # unsupervised, then once more with a worker murdered at a round
-    # boundary to price a full detect-respawn-reexecute cycle.
+    # Supervision overhead: what turning recovery on adds to the one
+    # executor — a per-round snapshot capture, and workers that build
+    # from the config instead of inheriting the parent's warmed study
+    # (heartbeats and the watchdog run in both modes) — measured clean
+    # against the same worker count unsupervised, then once more with a
+    # worker murdered at a round boundary to price a full
+    # detect-respawn-reexecute cycle.
     supervise_workers = max((w for w in worker_counts if w > 1), default=2)
 
     def run_sup() -> None:

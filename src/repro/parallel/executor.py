@@ -16,78 +16,99 @@ Design
   browser of a machine in one worker preserves that sequence exactly,
   so admission (and therefore CAPTCHAs, retries, and failures) is
   identical to the sequential run.
-* **Workers inherit, they do not rebuild.**  The parent constructs and
-  pre-warms the whole apparatus once (world, engine, ranking pools,
-  digest caches — :meth:`Study.prefork_warmup`), then forked workers
-  inherit it copy-on-write; ``spawn`` platforms receive the same built
-  study pickled.  Everything inherited is either pure in the seed
-  (world, caches — shared bytes, never diverge) or freshly zeroed
-  serving state (sessions, rate-limiter windows, nonce counters — the
-  state a rebuilt worker would start with anyway), so shard output is
-  byte-identical to the rebuild-from-config strategy this replaces.
-  Only if the study will not pickle does a spawn worker fall back to
-  rebuilding from the :class:`StudyConfig`; ``Study.worker_rebuilds``
-  counts how many workers took that path (0 on fork platforms — the
-  invariant the tests pin).
+* **Workers inherit, they do not rebuild.**  Unsupervised runs
+  construct and pre-warm the whole apparatus once in the parent
+  (world, engine, ranking pools, digest caches —
+  :meth:`Study.prefork_warmup`), then forked workers inherit it
+  copy-on-write; ``spawn`` platforms receive the same built study
+  pickled.  Everything inherited is either pure in the seed (world,
+  caches — shared bytes, never diverge) or freshly zeroed serving
+  state (sessions, rate-limiter windows, nonce counters — the state a
+  rebuilt worker would start with anyway), so shard output is
+  byte-identical to building from the config.  Only if the study will
+  not pickle does a spawn worker fall back to rebuilding from the
+  :class:`StudyConfig`; ``Study.worker_rebuilds`` counts the shard
+  executions that built from the config (0 for unsupervised runs on
+  fork platforms — the invariant the tests pin).  Supervised runs
+  leave the parent cold and build every shard execution from the
+  config, so a re-execution after a failure starts exactly like the
+  first one.
 * **Everything else is request-determined.**  Nonces derive from
   (browser id, per-browser ordinal); DNS rotation keys on the nonce;
   per-datacenter index skew keys on the DNS-resolved frontend IP;
   sessions key on per-browser cookies.  None of it depends on how
   requests from different treatments interleave.
-* **The merge is a canonical-order sort.**  Workers stream one message
-  per completed round; the parent flushes rounds in schedule order,
-  each round's outcomes sorted by treatment index — the exact order
-  the sequential loop produces.  :class:`CrawlStats` counters are sums
-  and merge associatively.
+* **One protocol, one merge.**  Workers loop on a private command
+  queue, executing ``run`` assignments and streaming ``heartbeat`` /
+  ``round`` / ``shard-done`` / ``error`` messages over one shared
+  result queue.  The parent flushes rounds in schedule order, each
+  round's outcomes sorted by treatment index — the exact order the
+  sequential loop produces — journalling, tracing, and emitting
+  events for a round before releasing it to the dataset and sink.
+  :class:`CrawlStats` counters are sums and merge associatively.
+* **Recovery is a switch, not a second executor.**  With
+  ``supervise=True`` a crashed, hung, or erroring worker's shard is
+  re-executed from its last accepted snapshot (see
+  :mod:`repro.supervise` for the policy).  Without it the same
+  watchdog turns the first crash or stall into a structured
+  :class:`WorkerFailure`, and a worker exception into a
+  ``RuntimeError`` carrying its traceback.
 * **Checkpoints are merge-time.**  Under ``checkpoint=path`` each
   worker ships its :meth:`Study.capture_state` snapshot with every
-  round; the parent journals a round (outcomes + all worker states)
+  round; the parent journals a round (outcomes + every shard's state)
   durably *before* releasing it to the dataset and sink.  On resume,
-  every worker restores its own shard snapshot and re-enters the
-  schedule at the first un-journalled round — a worker that had raced
-  ahead of the durable prefix simply re-crawls, byte-identically,
-  because its state was reset to the prefix boundary.
+  every shard restores its own snapshot and re-enters the schedule at
+  the first un-journalled round — a worker that had raced ahead of the
+  durable prefix simply re-crawls, byte-identically, because its state
+  was reset to the prefix boundary.  A quarantined shard has no state
+  to journal; its slot holds a marker instead, so a resumed run
+  re-quarantines it rather than re-crawling it.
 
 The result: ``SerpDataset``, ``CrawlStats``, and the failure list are
 byte-identical to ``Study.run()`` on a single core, for any worker
-count, with or without the serving gateway in the path, and with or
-without a kill-and-resume in between.
+count, with or without the serving gateway in the path, supervised or
+not, and with or without a kill-and-resume in between.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 import queue as queue_module
+import time
 import traceback
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.datastore import SerpDataset, SerpRecord
-from repro.core.runner import Study, deserialize_outcome, serialize_outcome
-from repro.faults.checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointWriter,
-    load_checkpoint,
-)
+from repro.core.runner import CrawlFailure, CrawlStats, Study, serialize_outcome
+from repro.faults.checkpoint import ResumeState
+from repro.faults.injector import FaultStats
+from repro.supervise.stats import SupervisorEvent, SupervisorReport
+from repro.supervise.supervisor import KillSpec, SupervisorPolicy
 
 __all__ = ["ShardPlan", "WorkerFailure", "plan_shards", "run_parallel"]
 
 #: Per-worker message-queue slack before backpressure kicks in.
 _QUEUE_DEPTH_PER_WORKER = 8
 
-#: Seconds between liveness checks while waiting on worker messages.
-_POLL_SECONDS = 1.0
+#: Exit codes chosen by injected kills (visible in ledger details).
+_BOUNDARY_CRASH_EXIT = 73
+_MIDROUND_CRASH_EXIT = 74
+_PLAN_CRASH_EXIT = 57
 
 
 class WorkerFailure(RuntimeError):
-    """A crawl worker process died before completing its shard.
+    """A crawl worker process died or hung before completing its shard.
 
     Raised by the *unsupervised* parallel path (``Study.run(workers=N)``
-    without ``supervise=True``), where a dead worker is unrecoverable:
-    the run fails fast and structured — worker id, exit code, and the
-    shard's treatment indices — instead of blocking on a pipe that will
-    never produce.  Supervised runs recover instead of raising; see
+    without ``supervise=True``), where a lost worker is unrecoverable:
+    the run fails fast and structured — worker id, exit code (``-9``
+    when the watchdog killed a hung worker), and the shard's treatment
+    indices — instead of blocking on a pipe that will never produce.
+    Supervised runs recover instead of raising; see
     :mod:`repro.supervise`.
     """
 
@@ -151,59 +172,711 @@ def plan_shards(
 
 
 def _preferred_start_method() -> str:
-    """``fork`` where the platform offers it (cheap, inherits nothing
-    mutable that matters — workers rebuild from the config), else the
+    """``fork`` where the platform offers it (cheap, and unsupervised
+    workers inherit the parent's built study copy-on-write), else the
     platform default."""
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else methods[0]
 
 
-def _worker_main(
+# ---------------------------------------------------------------------------
+# Worker side
+# ---------------------------------------------------------------------------
+
+
+class _WorkerHarness:
+    """One shard execution inside a worker.
+
+    Bridges the running :class:`Study` to the parent: heartbeats and
+    round results onto the shared queue, and — with recovery on —
+    :class:`KillSpec` murder points and the ``FaultPlan`` worker-fault
+    context (the injector calls :meth:`crash`/:meth:`stall` through the
+    duck-typed ``worker_context`` hook, keyed on :attr:`generation`).
+    """
+
+    def __init__(
+        self,
+        worker_id: int,
+        shard_id: int,
+        generation: int,
+        result_queue,
+        kill_specs: Sequence[KillSpec],
+    ) -> None:
+        self.worker_id = worker_id
+        self.shard_id = shard_id
+        self.generation = generation
+        self.queue = result_queue
+        self.specs = [
+            spec
+            for spec in kill_specs
+            if spec.shard == shard_id
+            and spec.generation in (None, generation)
+        ]
+        self._ordinal = -1
+        self._submits = 0
+
+    def arm(self, study: Study) -> None:
+        network = study.network
+        # Plan-driven worker faults fire only with recovery on: the
+        # injector consults this context (when the plan carries worker
+        # rates) before dispatching each request.
+        network.worker_context = self
+        if any(spec.request is not None for spec in self.specs):
+            original = network.submit
+
+            def submit(*args, **kwargs):
+                self._submits += 1
+                for spec in self.specs:
+                    if (
+                        spec.request is not None
+                        and spec.ordinal == self._ordinal
+                        and spec.request == self._submits
+                    ):
+                        self._die(spec.mode, flush=False)
+                return original(*args, **kwargs)
+
+            network.submit = submit
+
+    def heartbeat(self, ordinal: int, timestamp: float) -> None:
+        self._ordinal = ordinal
+        self._submits = 0
+        self.queue.put(
+            ("heartbeat", self.worker_id, self.shard_id, ordinal, timestamp)
+        )
+
+    def emit_round(self, ordinal: int, outcomes, state, spans) -> None:
+        self.queue.put(
+            ("round", self.worker_id, self.shard_id, ordinal, outcomes, state, spans)
+        )
+        for spec in self.specs:
+            if spec.request is None and spec.ordinal == ordinal:
+                self._die(spec.mode, flush=True)
+
+    # -- murder weapons (also the FaultPlan worker_context protocol) ----------
+
+    def crash(self) -> None:
+        """Plan-driven crash, pre-dispatch: nothing of the partial
+        round escapes the process, so resume is byte-exact."""
+        self._flush_queue()
+        os._exit(_PLAN_CRASH_EXIT)
+
+    def stall(self) -> None:
+        """Plan-driven hang: block until the watchdog SIGKILLs us."""
+        while True:
+            time.sleep(3600)
+
+    def _flush_queue(self) -> None:
+        """Drain the feeder thread before dying.
+
+        ``multiprocessing.Queue`` writes happen on a background feeder
+        thread under a write lock *shared across processes*.  Exiting
+        while our feeder is mid-write would take that lock to the
+        grave and wedge every surviving worker's queue — so even
+        "dirty" deaths drain first.  The current partial round is still
+        discarded with the process: its round message was never
+        enqueued, only already-complete rounds and heartbeats flush.
+        """
+        try:
+            self.queue.close()
+            self.queue.join_thread()
+        except Exception:
+            pass
+
+    def _die(self, mode: str, *, flush: bool) -> None:
+        self._flush_queue()
+        if mode == "stall":
+            self.stall()
+        os._exit(_BOUNDARY_CRASH_EXIT if flush else _MIDROUND_CRASH_EXIT)
+
+
+def _worker_loop(
     worker_id: int,
     payload,
-    indices,
     result_queue,
-    start_ordinal: int = 0,
-    worker_state=None,
-    capture: bool = False,
-    trace: bool = False,
+    command_queue,
+    kill_specs: Tuple[KillSpec, ...],
+    recover: bool,
+    capture: bool,
+    trace: bool,
 ) -> None:
-    """Worker entry point: take the study, crawl the shard, stream rounds.
+    """Worker entry point: execute shard assignments until told to exit.
 
-    ``payload`` is normally the parent's built-and-warmed :class:`Study`
-    (inherited copy-on-write under ``fork``, arriving pickled under
-    ``spawn``); a :class:`StudyConfig` arrives only on the rebuild
-    fallback, and the final ``done`` message reports which path ran.
-
-    On resume (``start_ordinal > 0``) the worker restores its own shard
-    snapshot before crawling, so its engine/browser/stats state is
-    exactly what it was at the durable checkpoint boundary.  With
-    ``trace`` set, each round message carries the shard's span trees;
-    span identities derive from (trace id, round, treatment), so the
-    parent can interleave trees from all shards into the canonical
-    sequential trace.
+    ``payload`` is the parent's built-and-warmed :class:`Study`
+    (unsupervised runs: inherited copy-on-write under ``fork``,
+    arriving pickled under ``spawn``) or a :class:`StudyConfig`
+    (supervised runs, and the fallback for a study that will not
+    pickle).  Only the first assignment may crawl on an inherited
+    study; any later one builds a fresh apparatus from the config.  The
+    assignment's snapshot, when given, is restored first, so a resumed,
+    reassigned, or respawned shard continues exactly where its last
+    accepted round left off.  ``shard-done`` reports whether the
+    execution built from the config.  ``capture`` ships a
+    :meth:`Study.capture_state` snapshot with every round; ``trace``
+    ships the round's span trees.
     """
-    try:
-        rebuilt = not isinstance(payload, Study)
-        study = Study(payload) if rebuilt else payload
-        if worker_state is not None:
-            study.restore_state(worker_state)
+    while True:
+        command = command_queue.get()
+        if command[0] == "exit":
+            return
+        _, shard_id, indices, start_ordinal, state, generation = command
+        try:
+            rebuilt = not isinstance(payload, Study)
+            study = Study(payload) if rebuilt else payload
+            payload = study.config
+            if state is not None:
+                study.restore_state(state)
+            harness = _WorkerHarness(
+                worker_id, shard_id, generation, result_queue, kill_specs
+            )
+            if recover:
+                harness.arm(study)
+            study.run_shard(
+                list(indices),
+                on_round=harness.emit_round,
+                on_round_start=harness.heartbeat,
+                start_ordinal=start_ordinal,
+                capture_state=capture,
+                trace=trace,
+            )
+            result_queue.put(
+                (
+                    "shard-done",
+                    worker_id,
+                    shard_id,
+                    study.stats,
+                    study.fault_stats,
+                    rebuilt,
+                )
+            )
+        except Exception:  # an interrupt ends the worker: the parent sees a crash
+            result_queue.put(
+                ("error", worker_id, shard_id, traceback.format_exc())
+            )
 
-        def emit(ordinal: int, outcomes, state, spans) -> None:
-            result_queue.put(("round", worker_id, ordinal, outcomes, state, spans))
 
-        study.run_shard(
-            list(indices),
-            on_round=emit,
-            start_ordinal=start_ordinal,
-            capture_state=capture,
-            trace=trace,
+# ---------------------------------------------------------------------------
+# Parent side
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _ShardState:
+    """Parent-side bookkeeping for one shard's lifecycle."""
+
+    shard_id: int
+    indices: Tuple[int, ...]
+    next_ordinal: int = 0
+    """First round not yet accepted — the resume point."""
+    snapshot: Optional[dict] = None
+    """Last accepted round's :meth:`Study.capture_state` payload, or the
+    quarantine marker once the shard is given up on."""
+    generation: int = 0
+    """Total failures so far == incarnation number of the next run."""
+    failures_since_progress: int = 0
+    done: bool = False
+    quarantined: bool = False
+    last_virtual: float = 0.0
+    """Virtual minutes of the last heartbeat (schedule position)."""
+
+
+@dataclass
+class _WorkerSlot:
+    """Parent-side bookkeeping for one worker slot."""
+
+    worker_id: int
+    process: multiprocessing.process.BaseProcess
+    command_queue: object
+    shard: Optional[int] = None
+    """Shard this slot is executing (None = idle)."""
+    dead: bool = False
+    retired: bool = False
+    """Counted as lost capacity already (degradation N -> N-1)."""
+    last_message_wall: float = field(default_factory=time.monotonic)
+
+
+class _Executor:
+    """The parent side of one run: spawn, watch, merge, and recover."""
+
+    def __init__(
+        self,
+        study: Study,
+        plan: ShardPlan,
+        context,
+        payload,
+        *,
+        sink,
+        recover: bool,
+        policy: SupervisorPolicy,
+        kill_specs: Tuple[KillSpec, ...],
+        capture: bool,
+        trace: bool,
+    ) -> None:
+        self.study = study
+        self.context = context
+        self.payload = payload
+        self.sink = sink
+        self.recover = recover
+        self.policy = policy
+        self.kill_specs = kill_specs
+        self.capture = capture
+        self.trace = trace
+        self.report = SupervisorReport(workers=plan.workers)
+        self.stats = self.report.stats
+        self.total_rounds = study.round_count()
+        self.shards = [
+            _ShardState(shard_id=i, indices=tuple(indices))
+            for i, indices in enumerate(plan.assignments)
+        ]
+        self.slots: List[_WorkerSlot] = []
+        self.orphans: deque = deque()
+        self.respawns_used = 0
+        self.result_queue = context.Queue(
+            maxsize=plan.workers * _QUEUE_DEPTH_PER_WORKER
         )
-        result_queue.put(
-            ("done", worker_id, study.stats, study.fault_stats, rebuilt)
+        self.dataset = SerpDataset()
+        self.writer = None
+        self.builder = None
+        self.event_builder = None
+        # Merge state, keyed by round ordinal.  Arrivals hold shard-id
+        # sets: a shard's round can arrive from any incarnation, but is
+        # accepted only once.
+        self.pending: dict = {}  # (treatment index, outcome) pairs
+        self.states: dict = {}  # shard id -> snapshot, journalled runs only
+        self.spans: dict = {}  # span trees from all shards, traced runs only
+        self.arrivals: dict = {}
+        self.next_flush = 0
+        self._all_shards = frozenset(s.shard_id for s in self.shards)
+
+    # -- lifecycle -----------------------------------------------------------
+
+    def start(
+        self,
+        checkpoint: Optional[str],
+        trace: Optional[str],
+        events: Optional[str],
+    ) -> None:
+        """Open the logs, replay the journal's durable prefix, hand out shards."""
+        if trace is not None:
+            self.builder = self.study._trace_builder(trace)
+        if events is not None:
+            self.event_builder = self.study._events_builder(events)
+        resume = ResumeState()
+        if checkpoint is not None:
+            self.writer, resume = self.study._open_journal(
+                checkpoint, len(self.shards), self._release
+            )
+        self.next_flush = resume.next_ordinal
+        for shard in self.shards:
+            shard.next_ordinal = resume.next_ordinal
+            shard.snapshot = resume.worker_states.get(shard.shard_id)
+            if shard.snapshot is not None and "quarantined" in shard.snapshot:
+                self._quarantine(shard)
+            else:
+                self._assign(shard, self._spawn_slot())
+
+    def _spawn_slot(self) -> _WorkerSlot:
+        worker_id = len(self.slots)
+        command_queue = self.context.Queue()
+        process = self.context.Process(
+            target=_worker_loop,
+            args=(
+                worker_id,
+                self.payload,
+                self.result_queue,
+                command_queue,
+                self.kill_specs,
+                self.recover,
+                self.capture,
+                self.trace,
+            ),
+            name=f"crawl-worker-{worker_id}",
+            daemon=True,
         )
-    except BaseException:  # propagate everything, including KeyboardInterrupt
-        result_queue.put(("error", worker_id, traceback.format_exc()))
+        process.start()
+        slot = _WorkerSlot(
+            worker_id=worker_id, process=process, command_queue=command_queue
+        )
+        self.slots.append(slot)
+        return slot
+
+    def _assign(self, shard: _ShardState, slot: _WorkerSlot) -> None:
+        slot.shard = shard.shard_id
+        slot.last_message_wall = time.monotonic()
+        slot.command_queue.put(
+            (
+                "run",
+                shard.shard_id,
+                shard.indices,
+                shard.next_ordinal,
+                shard.snapshot,
+                shard.generation,
+            )
+        )
+
+    def run(self) -> None:
+        while not all(s.done or s.quarantined for s in self.shards):
+            try:
+                message = self.result_queue.get(timeout=self.policy.poll_seconds)
+            except queue_module.Empty:
+                pass
+            else:
+                self._dispatch(message)
+                # Judge liveness only against an empty queue: a slow
+                # parent must not mistake queued messages for silence.
+                self._drain()
+            self._watchdog()
+        self._flush_ready()
+        if self.next_flush != self.total_rounds:
+            raise RuntimeError(
+                f"parallel merge incomplete: flushed {self.next_flush} "
+                f"of {self.total_rounds} rounds"
+            )
+
+    def close(self) -> None:
+        """Stop every worker, then close the journal and logs."""
+        self._shutdown()
+        if self.writer is not None:
+            self.writer.close()
+        if self.builder is not None:
+            if self.report.events:
+                self.builder.add_trees(
+                    self.report.trace_trees(
+                        self.builder.trace_id, self.study.tracer.study_span_id()
+                    )
+                )
+            self.builder.close()
+            self.study.tracer.disable()
+        if self.event_builder is not None:
+            self.event_builder.close()
+
+    def _shutdown(self) -> None:
+        # Idle workers exit on command; a busy one means the run is
+        # being abandoned, so it is terminated (and its command queue
+        # is not waited on — the dead reader may never drain it).
+        for slot in self.slots:
+            if slot.dead:
+                continue
+            if slot.shard is None:
+                slot.command_queue.put(("exit",))
+            else:
+                slot.process.terminate()
+                slot.command_queue.cancel_join_thread()
+        deadline = time.monotonic() + 5.0
+        for slot in self.slots:
+            slot.process.join(timeout=max(0.0, deadline - time.monotonic()))
+            if slot.process.is_alive():
+                slot.process.terminate()
+                slot.process.join()
+
+    # -- message handling ----------------------------------------------------
+
+    def _dispatch(self, message) -> None:
+        kind, worker_id, shard_id = message[:3]
+        shard = self.shards[shard_id]
+        slot = self.slots[worker_id]
+        slot.last_message_wall = time.monotonic()
+        if kind == "heartbeat":
+            ordinal, timestamp = message[3:]
+            if ordinal >= shard.next_ordinal:  # else a stale incarnation
+                shard.last_virtual = timestamp
+                self.stats.heartbeats += 1
+        elif kind == "round":
+            ordinal, outcomes, state, round_spans = message[3:]
+            if shard.done or shard.quarantined or ordinal != shard.next_ordinal:
+                return  # duplicate from a dead incarnation
+            self.pending.setdefault(ordinal, []).extend(outcomes)
+            if round_spans is not None:
+                self.spans.setdefault(ordinal, []).extend(round_spans)
+            if self.writer is not None:
+                self.states.setdefault(ordinal, {})[shard_id] = state
+            self.arrivals.setdefault(ordinal, set()).add(shard_id)
+            shard.snapshot = state
+            shard.next_ordinal = ordinal + 1
+            shard.failures_since_progress = 0
+            self.stats.rounds_received += 1
+            self._flush_ready()
+        elif kind == "shard-done":
+            stats, fault_stats, rebuilt = message[3:]
+            if shard.done or shard.quarantined or shard.next_ordinal != self.total_rounds:
+                return  # settled, or a stale incarnation behind a newer one
+            shard.done = True
+            # The completing incarnation restored the shard's snapshot,
+            # so its counters cover the *whole* shard — merge once.
+            self.study.stats.merge(stats)
+            self.study.fault_stats.merge(fault_stats)
+            self.study.worker_rebuilds += rebuilt
+            self._release_slot(slot)
+        else:  # "error"
+            tb = message[3]
+            if not self.recover:
+                raise RuntimeError(f"crawl worker {worker_id} failed:\n{tb}")
+            slot.shard = None
+            self.stats.worker_errors += 1
+            detail = tb.strip().splitlines()[-1] if tb.strip() else "unknown error"
+            self._handle_failure(shard, slot, "worker-error", detail)
+
+    def _flush_ready(self) -> None:
+        """Journal, trace, and release every round all shards delivered."""
+        while self.arrivals.get(self.next_flush) == self._all_shards:
+            ordinal = self.next_flush
+            del self.arrivals[ordinal]
+            outcomes = [
+                outcome
+                for _, outcome in sorted(
+                    self.pending.pop(ordinal), key=lambda pair: pair[0]
+                )
+            ]
+            # Durable-then-release: the journal line hits disk before
+            # the outcomes reach the dataset or sink, so a kill at any
+            # instant loses no acknowledged record.
+            if self.writer is not None:
+                self.writer.append_round(
+                    ordinal,
+                    [serialize_outcome(outcome) for outcome in outcomes],
+                    self.states.pop(ordinal),
+                )
+            if self.builder is not None:
+                self.builder.add_round(ordinal, self.spans.pop(ordinal, []))
+            self._release(ordinal, outcomes)
+            self.next_flush += 1
+
+    def _release(self, ordinal: int, outcomes) -> None:
+        """One canonical round to the event log, then dataset/sink/failures.
+
+        Also the journal's replay hook, so a resumed run re-releases
+        its durable prefix through exactly this path.
+        """
+        if self.event_builder is not None:
+            self.event_builder.add_round(ordinal, list(enumerate(outcomes)))
+        for outcome in outcomes:
+            if isinstance(outcome, SerpRecord):
+                self.dataset.add(outcome)
+                if self.sink is not None:
+                    self.sink(outcome)
+            else:
+                self.study.failures.append(outcome)
+
+    # -- detection -----------------------------------------------------------
+
+    def _watchdog(self) -> None:
+        now = time.monotonic()
+        leader = max(
+            (s.next_ordinal for s in self.shards if not s.quarantined),
+            default=0,
+        )
+        for slot in self.slots:
+            if slot.dead or slot.shard is None:
+                continue
+            shard = self.shards[slot.shard]
+            if slot.process.exitcode is not None:
+                # Drain in-flight messages first: the dead worker's
+                # final rounds may still sit in the queue, and accepting
+                # them moves the resume point forward.
+                self._drain()
+                if slot.dead or slot.shard is None:
+                    continue  # the drain resolved it (e.g. shard-done)
+                self.stats.crashes_detected += 1
+                kind = "crash-detected"
+                detail = f"exit code {slot.process.exitcode}"
+            else:
+                silence = now - slot.last_message_wall
+                wall_stalled = silence >= self.policy.stall_timeout_seconds
+                virtual_stalled = (
+                    silence >= self.policy.stall_grace_seconds
+                    and leader - shard.next_ordinal >= self.policy.stall_rounds
+                )
+                if not (wall_stalled or virtual_stalled):
+                    continue
+                self.stats.stalls_detected += 1
+                slot.process.kill()
+                slot.process.join()
+                kind = "stall-detected"
+                detail = (
+                    f"{'wall watchdog' if wall_stalled else 'virtual deadline'}: "
+                    f"silent {silence:.1f}s at round {shard.next_ordinal} "
+                    f"(leader {leader})"
+                )
+            if not self.recover:
+                raise WorkerFailure(
+                    slot.worker_id, slot.process.exitcode, shard.indices
+                )
+            slot.dead = True
+            slot.shard = None
+            self._handle_failure(shard, slot, kind, detail)
+
+    def _drain(self) -> None:
+        """Process every message already in the queue, without blocking."""
+        while True:
+            try:
+                message = self.result_queue.get_nowait()
+            except queue_module.Empty:
+                return
+            self._dispatch(message)
+
+    # -- recovery ------------------------------------------------------------
+
+    def _event(self, kind: str, shard: _ShardState, worker: int, detail: str) -> None:
+        self.report.record(
+            SupervisorEvent(
+                kind=kind,
+                worker=worker,
+                shard=shard.shard_id,
+                generation=shard.generation,
+                resume_ordinal=shard.next_ordinal,
+                virtual_minutes=shard.last_virtual,
+                detail=detail,
+            )
+        )
+
+    def _handle_failure(
+        self, shard: _ShardState, slot: _WorkerSlot, kind: str, detail: str
+    ) -> None:
+        if shard.done or shard.quarantined:
+            return
+        shard.generation += 1
+        shard.failures_since_progress += 1
+        self._event(kind, shard, slot.worker_id, detail)
+        if shard.failures_since_progress >= self.policy.quarantine_after:
+            self._quarantine(shard)
+            return
+        self._recover(shard)
+
+    def _recover(self, shard: _ShardState) -> None:
+        # Cheapest first: an idle surviving worker takes the shard with
+        # no new process.  Otherwise respawn (within budget) to keep
+        # pool capacity; otherwise park the shard until a survivor goes
+        # idle — graceful degradation from N workers to N-1 ... 1.
+        for slot in self.slots:
+            if not slot.dead and slot.shard is None and slot.process.is_alive():
+                self._reassign(shard, slot)
+                return
+        budget_left = (
+            self.policy.max_respawns is None
+            or self.respawns_used < self.policy.max_respawns
+        )
+        survivors = any(
+            not slot.dead and slot.process.is_alive() for slot in self.slots
+        )
+        if budget_left or not survivors:
+            # A respawn past the budget only happens when the pool is
+            # empty — the alternative is deadlock, not degradation.
+            self._respawn(shard)
+            return
+        self.orphans.append(shard.shard_id)
+
+    def _respawn(self, shard: _ShardState) -> None:
+        self.respawns_used += 1
+        self.stats.respawns += 1
+        slot = self._spawn_slot()
+        self._assign(shard, slot)
+        self._event(
+            "respawned",
+            shard,
+            slot.worker_id,
+            f"replacement process (generation {shard.generation})",
+        )
+
+    def _reassign(self, shard: _ShardState, slot: _WorkerSlot) -> None:
+        self.stats.reassignments += 1
+        self._retire_dead_slots()
+        self._assign(shard, slot)
+        self._event(
+            "reassigned",
+            shard,
+            slot.worker_id,
+            f"to surviving worker {slot.worker_id} "
+            f"(generation {shard.generation})",
+        )
+
+    def _retire_dead_slots(self) -> None:
+        """Book lost capacity once per dead slot we chose not to replace."""
+        for slot in self.slots:
+            if slot.dead and not slot.retired:
+                slot.retired = True
+                self.stats.workers_lost += 1
+
+    def _release_slot(self, slot: _WorkerSlot) -> None:
+        slot.shard = None
+        if self.orphans:
+            shard = self.shards[self.orphans.popleft()]
+            self._reassign(shard, slot)
+
+    # -- quarantine ----------------------------------------------------------
+
+    def _quarantine(self, shard: _ShardState) -> None:
+        """Give up on a deterministically failing shard — loudly.
+
+        The crawled prefix is kept (stats from the last snapshot, rounds
+        already merged); every remaining (round × treatment) cell
+        becomes a structured failure that flows through
+        ``per_location_coverage`` like any other, so the hole is
+        visible, attributable, and never silent.  The shard's snapshot
+        becomes the quarantine marker — the prefix counters plus the
+        forfeited cells — which is journalled in the shard's state slot
+        for every remaining round; a run resuming from the journal
+        finds it there and re-quarantines from the marker alone.
+        """
+        if shard.snapshot is None or "quarantined" not in shard.snapshot:
+            shard.snapshot = self._quarantine_marker(shard)
+        marker = shard.snapshot
+        shard.quarantined = True
+        self.stats.quarantined_shards += 1
+        self._event(
+            "quarantined",
+            shard,
+            -1,
+            f"after {marker['failures']} consecutive failures "
+            f"without progress; rounds {marker['quarantined']}.."
+            f"{self.total_rounds - 1} forfeited",
+        )
+        prefix_stats = CrawlStats()
+        prefix_stats.restore_state(marker["stats"])
+        self.study.stats.merge(prefix_stats)
+        prefix_faults = FaultStats()
+        prefix_faults.restore_state(marker["fault_stats"])
+        self.study.fault_stats.merge(prefix_faults)
+        reason = (
+            f"shard {shard.shard_id} quarantined after "
+            f"{marker['failures']} consecutive worker failures"
+        )
+        for scheduled in self.study.iter_rounds():
+            if scheduled.ordinal < shard.next_ordinal:
+                continue
+            for index in shard.indices:
+                treatment = self.study.treatments[index]
+                self.pending.setdefault(scheduled.ordinal, []).append(
+                    (
+                        index,
+                        CrawlFailure(
+                            query=scheduled.query.text,
+                            location_name=treatment.region.qualified_name,
+                            day=scheduled.day_offset,
+                            copy_index=treatment.copy_index,
+                            reason=reason,
+                            kind="shard-quarantined",
+                        ),
+                    )
+                )
+                self.stats.quarantined_failures += 1
+            self.arrivals.setdefault(scheduled.ordinal, set()).add(shard.shard_id)
+            if self.writer is not None:
+                self.states.setdefault(scheduled.ordinal, {})[shard.shard_id] = marker
+
+    def _quarantine_marker(self, shard: _ShardState) -> dict:
+        """The journal's stand-in for a quarantined shard's state."""
+        stats, faults = CrawlStats(), FaultStats()
+        if shard.snapshot is not None:
+            stats.restore_state(shard.snapshot["stats"])
+            faults.restore_state(shard.snapshot["fault_stats"])
+        forfeited = (self.total_rounds - shard.next_ordinal) * len(shard.indices)
+        for _ in range(forfeited):
+            stats.record_failure_kind("shard-quarantined")
+        return {
+            "quarantined": shard.next_ordinal,
+            "failures": shard.failures_since_progress,
+            "stats": stats.capture_state(),
+            "fault_stats": faults.capture_state(),
+        }
 
 
 def run_parallel(
@@ -216,8 +889,8 @@ def run_parallel(
     trace: Optional[str] = None,
     events: Optional[str] = None,
     supervise: bool = False,
-    policy=None,
-    kill_specs=(),
+    policy: Optional[SupervisorPolicy] = None,
+    kill_specs: Sequence[KillSpec] = (),
 ) -> SerpDataset:
     """Run ``study``'s full schedule sharded across worker processes.
 
@@ -237,55 +910,44 @@ def run_parallel(
         start_method: ``multiprocessing`` start method override
             (default: ``fork`` when available).
         checkpoint: Optional journal path, as in :meth:`Study.run`.
-            Rounds become durable only once *every* worker has reported
-            them; on resume all workers restart from the durable
-            boundary with their shard state restored.  The journal
-            records the effective worker count and refuses to resume
-            under a different one (per-worker snapshots only fit the
-            shard layout that produced them).
+            Rounds become durable only once *every* shard has reported
+            them; on resume all shards restart from the durable
+            boundary with their state restored.  The journal records
+            the effective worker count and refuses to resume under a
+            different one (per-shard snapshots only fit the shard
+            layout that produced them); it does not record
+            ``supervise``, so either mode resumes the other's journal.
         trace: Optional canonical trace path, as in :meth:`Study.run`.
             Workers ship per-round span trees; the parent merges them
             through the same :class:`~repro.obs.exporters.TraceBuilder`
             the sequential run uses, so the file is byte-identical for
-            any worker count.  Mutually exclusive with ``checkpoint``.
+            any worker count.  Recovery events are appended as
+            ``supervisor.*`` spans under the study root.  Mutually
+            exclusive with ``checkpoint``.
         events: Optional canonical wide-event log path, as in
             :meth:`Study.run`.  Crawl events are synthesized from the
             merged outcome stream at flush time (the parent-side
             builder pattern), so the file is byte-identical for any
-            worker count and composes with ``checkpoint``.
-        supervise: Delegate to :func:`repro.supervise.run_supervised`:
-            workers are heartbeat-monitored, and crashed/hung workers'
-            shards are re-executed from their last snapshot instead of
-            failing the run.  Mutually exclusive with ``checkpoint``
-            (supervision keeps shard snapshots in memory).
-        policy: Optional :class:`~repro.supervise.SupervisorPolicy`
-            (supervised runs only).
+            worker count, across recoveries, and composes with
+            ``checkpoint``.
+        supervise: Turn recovery on: crashed, hung, and erroring
+            workers' shards are re-executed from their last snapshot
+            instead of failing the run, and the
+            :class:`~repro.supervise.stats.SupervisorReport` (counters
+            + ordered recovery ledger) is left on ``study.supervisor``.
+            Off, the first crash or stall raises :class:`WorkerFailure`
+            and a worker exception raises with its traceback.
+        policy: Optional :class:`~repro.supervise.SupervisorPolicy`.
+            Its detection fields (stall deadlines, poll interval) apply
+            to every run; its recovery fields only with ``supervise``.
         kill_specs: Optional :class:`~repro.supervise.KillSpec` murder
             points (supervised runs only — tests and the chaos CLI).
 
     Returns:
         The merged :class:`SerpDataset`.
     """
-    if supervise:
-        if checkpoint is not None:
-            raise ValueError(
-                "supervise and checkpoint cannot be combined: supervised "
-                "runs keep shard snapshots in memory, not in a journal"
-            )
-        from repro.supervise import run_supervised
-
-        return run_supervised(
-            study,
-            workers=workers,
-            sink=sink,
-            start_method=start_method,
-            trace=trace,
-            events=events,
-            policy=policy,
-            kill_specs=kill_specs,
-        )
-    if policy is not None or kill_specs:
-        raise ValueError("policy/kill_specs require supervise=True")
+    if kill_specs and not supervise:
+        raise ValueError("kill_specs require supervise=True")
     if study.stats.requests or study.failures:
         raise ValueError(
             "parallel run requires a freshly constructed Study "
@@ -296,215 +958,42 @@ def run_parallel(
             "trace and checkpoint cannot be combined: the checkpoint "
             "journal does not carry spans"
         )
-    plan = plan_shards(
-        len(study.treatments), len(study.fleet), workers
-    )
-
-    writer = None
-    start_ordinal = 0
-    worker_states: dict = {}
-    dataset = SerpDataset()
-    event_builder = study._events_builder(events) if events is not None else None
-    if checkpoint is not None:
-        fingerprint = study.checkpoint_fingerprint()
-        resume = load_checkpoint(
-            checkpoint, expected_fingerprint=fingerprint, workers=plan.workers
-        )
-        if resume is not None:
-            for ordinal, outcomes in enumerate(resume.rounds):
-                decoded = [deserialize_outcome(payload) for payload in outcomes]
-                for outcome in decoded:
-                    if isinstance(outcome, SerpRecord):
-                        dataset.add(outcome)
-                        if sink is not None:
-                            sink(outcome)
-                    else:
-                        study.failures.append(outcome)
-                if event_builder is not None:
-                    event_builder.add_round(ordinal, list(enumerate(decoded)))
-            start_ordinal = resume.next_ordinal
-            worker_states = resume.worker_states
-            writer = CheckpointWriter.append_to(checkpoint)
-        else:
-            writer = CheckpointWriter.create(
-                checkpoint,
-                {
-                    "version": CHECKPOINT_VERSION,
-                    "workers": plan.workers,
-                    "fingerprint": fingerprint,
-                },
-            )
-
-    builder = study._trace_builder(trace) if trace is not None else None
+    plan = plan_shards(len(study.treatments), len(study.fleet), workers)
     context = multiprocessing.get_context(start_method or _preferred_start_method())
-    # Zero-rebuild delivery: warm every pure cache once in the parent,
-    # then hand workers the built study itself — inherited copy-on-write
-    # under fork, pickled by multiprocessing under spawn.  Only a study
-    # that cannot pickle makes spawn workers rebuild from the config
-    # (study.worker_rebuilds counts those).
-    payload = study
-    study.prefork_warmup()
-    if context.get_start_method() != "fork":
-        try:
-            pickle.dumps(study)
-        except Exception:
-            payload = study.config
-    result_queue = context.Queue(maxsize=plan.workers * _QUEUE_DEPTH_PER_WORKER)
-    processes = [
-        context.Process(
-            target=_worker_main,
-            args=(
-                worker_id,
-                payload,
-                plan.assignments[worker_id],
-                result_queue,
-                start_ordinal,
-                worker_states.get(worker_id),
-                checkpoint is not None,
-                trace is not None,
-            ),
-            name=f"crawl-worker-{worker_id}",
-            daemon=True,
-        )
-        for worker_id in range(plan.workers)
-    ]
-    for process in processes:
-        process.start()
-
+    # Zero-rebuild delivery for unsupervised runs: warm every pure cache
+    # once in the parent, then hand workers the built study itself —
+    # inherited copy-on-write under fork, pickled by multiprocessing
+    # under spawn.  Only a study that cannot pickle makes spawn workers
+    # rebuild from the config.  Supervised runs stay cold in the parent
+    # and build each shard execution from the config, as a re-execution
+    # must anyway; inheriting a warmed parent measured slower and ~50%
+    # heavier in peak RSS on the supervised audit (docs/ROBUSTNESS.md).
+    payload = study.config
+    if not supervise:
+        study.prefork_warmup()
+        payload = study
+        if context.get_start_method() != "fork":
+            try:
+                pickle.dumps(study)
+            except Exception:
+                payload = study.config
+    executor = _Executor(
+        study,
+        plan,
+        context,
+        payload,
+        sink=sink,
+        recover=supervise,
+        policy=policy or SupervisorPolicy(),
+        kill_specs=tuple(kill_specs),
+        capture=supervise or checkpoint is not None,
+        trace=trace is not None,
+    )
+    if supervise:
+        study.supervisor = executor.report
     try:
-        _merge(
-            study,
-            plan,
-            processes,
-            result_queue,
-            dataset,
-            sink,
-            start_ordinal=start_ordinal,
-            writer=writer,
-            builder=builder,
-            event_builder=event_builder,
-        )
+        executor.start(checkpoint, trace, events)
+        executor.run()
     finally:
-        if writer is not None:
-            writer.close()
-        if builder is not None:
-            builder.close()
-            study.tracer.disable()
-        if event_builder is not None:
-            event_builder.close()
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-        for process in processes:
-            process.join()
-    return dataset
-
-
-def _merge(
-    study,
-    plan,
-    processes,
-    result_queue,
-    dataset,
-    sink,
-    *,
-    start_ordinal: int = 0,
-    writer=None,
-    builder=None,
-    event_builder=None,
-) -> None:
-    """Drain worker messages, flushing rounds in canonical order.
-
-    With a ``writer``, each round is journalled durably (outcomes in
-    canonical order plus every worker's state snapshot) *before* its
-    records reach the dataset and sink — the invariant that makes a
-    kill at any instant recoverable without losing acknowledged
-    records.  With a ``builder``, each flushed round's span trees (from
-    all shards) are handed to the trace builder, which sorts them into
-    canonical treatment order and writes the round — the same code path
-    a sequential traced run takes.
-    """
-    total_rounds = study.round_count()
-    pending: dict = {}  # ordinal -> list of (treatment_index, outcome)
-    states: dict = {}  # ordinal -> {worker_id: state snapshot}
-    spans: dict = {}  # ordinal -> list of span trees from all shards
-    arrivals: dict = {}  # ordinal -> how many workers have reported
-    next_ordinal = start_ordinal
-    done_workers: set = set()
-
-    def flush_ready() -> None:
-        nonlocal next_ordinal
-        while arrivals.get(next_ordinal, 0) == plan.workers:
-            outcomes = sorted(pending.pop(next_ordinal), key=lambda pair: pair[0])
-            round_states = states.pop(next_ordinal, None)
-            round_spans = spans.pop(next_ordinal, None)
-            del arrivals[next_ordinal]
-            if writer is not None:
-                writer.append_round(
-                    next_ordinal,
-                    [serialize_outcome(outcome) for _, outcome in outcomes],
-                    round_states or {},
-                )
-            if builder is not None:
-                builder.add_round(next_ordinal, round_spans or [])
-            if event_builder is not None:
-                event_builder.add_round(next_ordinal, outcomes)
-            for _, outcome in outcomes:
-                if isinstance(outcome, SerpRecord):
-                    dataset.add(outcome)
-                    if sink is not None:
-                        sink(outcome)
-                else:
-                    study.failures.append(outcome)
-            next_ordinal += 1
-
-    def handle(message) -> None:
-        kind = message[0]
-        if kind == "round":
-            _, worker_id, ordinal, outcomes, state, round_spans = message
-            pending.setdefault(ordinal, []).extend(outcomes)
-            if state is not None:
-                states.setdefault(ordinal, {})[worker_id] = state
-            if round_spans is not None:
-                spans.setdefault(ordinal, []).extend(round_spans)
-            arrivals[ordinal] = arrivals.get(ordinal, 0) + 1
-            flush_ready()
-        elif kind == "done":
-            study.stats.merge(message[2])
-            study.fault_stats.merge(message[3])
-            if message[4]:
-                study.worker_rebuilds += 1
-            done_workers.add(message[1])
-        else:  # "error"
-            raise RuntimeError(
-                f"crawl worker {message[1]} failed:\n{message[2]}"
-            )
-
-    while len(done_workers) < plan.workers:
-        try:
-            message = result_queue.get(timeout=_POLL_SECONDS)
-        except queue_module.Empty:
-            for worker_id, process in enumerate(processes):
-                if worker_id in done_workers or process.exitcode is None:
-                    continue
-                # The process is gone but may have raced its final
-                # messages onto the queue — drain before judging, so a
-                # worker that finished and exited cleanly is not
-                # misreported (and so the failure points at the true
-                # resume position).
-                try:
-                    while worker_id not in done_workers:
-                        handle(result_queue.get_nowait())
-                except queue_module.Empty:
-                    pass
-                if worker_id not in done_workers:
-                    raise WorkerFailure(
-                        worker_id, process.exitcode, plan.assignments[worker_id]
-                    )
-            continue
-        handle(message)
-    flush_ready()
-    if next_ordinal != total_rounds:
-        raise RuntimeError(
-            f"merge incomplete: flushed {next_ordinal} of {total_rounds} rounds"
-        )
+        executor.close()
+    return executor.dataset

@@ -2,9 +2,9 @@
 
 Public surface:
 
-* :func:`run_supervised` — execute a study sharded across supervised
-  worker processes with crash/hang detection, deterministic recovery,
-  and quarantine (reachable as ``Study.run(workers=N, supervise=True)``);
+* :func:`run_supervised` — :func:`repro.parallel.run_parallel` with
+  recovery on: crash/hang detection, deterministic recovery, and
+  quarantine (reachable as ``Study.run(workers=N, supervise=True)``);
 * :class:`SupervisorPolicy` — detection/recovery knobs;
 * :class:`KillSpec` — reproducible worker-murder points for tests and
   the ``repro chaos --kill-workers`` CLI;

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 from repro.obs.metrics import MetricSet
+from repro.seeding import stable_hash
 
 __all__ = ["SupervisorStats", "SupervisorEvent", "SupervisorReport"]
 
@@ -64,7 +65,7 @@ class SupervisorEvent:
     worker: int
     """Worker slot the event concerns."""
     shard: int
-    """Shard (== unsupervised worker id) the event concerns."""
+    """Shard (index into the run's shard plan) the event concerns."""
     generation: int
     """How many times this shard had failed when the event fired."""
     resume_ordinal: int
@@ -98,6 +99,29 @@ class SupervisorReport:
             "stats": self.stats.capture_state(),
             "events": [asdict(event) for event in self.events],
         }
+
+    def trace_trees(self, trace_id: str, root_id: str) -> List[dict]:
+        """The recovery ledger as zero-length spans under the study root."""
+        from repro.obs.trace import format_id
+
+        return [
+            {
+                "id": format_id(stable_hash("supervisor-span", trace_id, seq)),
+                "parent": root_id,
+                "name": f"supervisor.{event.kind}",
+                "start": event.virtual_minutes,
+                "end": event.virtual_minutes,
+                "attrs": {
+                    key: getattr(event, key)
+                    for key in (
+                        "worker", "shard", "generation", "resume_ordinal", "detail"
+                    )
+                },
+                "events": [],
+                "children": [],
+            }
+            for seq, event in enumerate(self.events)
+        ]
 
     def render(self, *, limit: Optional[int] = None) -> str:
         """The recovery ledger as the chaos CLI prints it."""

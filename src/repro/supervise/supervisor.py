@@ -2,22 +2,26 @@
 
 The paper's 44-machine lock-step crawl only worked because a dead
 machine could be re-imaged and rejoined without invalidating the other
-43.  This module gives ``Study.run(workers=N, supervise=True)`` the
-same property on one host: worker processes are monitored, failures
-are classified, and the failed worker's shard is re-executed from its
-last state snapshot — on a respawned process or reassigned to a
-surviving worker — with the merged dataset staying byte-identical to
-the sequential run.
+43.  ``Study.run(workers=N, supervise=True)`` gives the crawl the same
+property on one host: worker processes are monitored, failures are
+classified, and the failed worker's shard is re-executed from its last
+state snapshot — on a respawned process or reassigned to a surviving
+worker — with the merged dataset staying byte-identical to the
+sequential run.
 
 Execution model
 ---------------
-Supervised workers are *shard executors*, not one-shot processes: each
-worker loops on a private command queue, receiving ``("run", shard,
-indices, start_ordinal, state, generation)`` assignments and streaming
-results back over the shared result queue.  That is what makes
-reassignment cheap — handing a dead worker's shard to an idle survivor
-is just another command, no new process required — and what lets the
-pool degrade gracefully from N workers to N−1 … 1.
+There is one executor, :func:`repro.parallel.run_parallel`, and
+``supervise`` turns its recovery on.  Every worker is a *shard
+executor*, not a one-shot process: it loops on a private command
+queue, receiving ``("run", shard, indices, start_ordinal, state,
+generation)`` assignments and streaming heartbeats and results back
+over the shared result queue.  That is what makes reassignment cheap —
+handing a dead worker's shard to an idle survivor is just another
+command, no new process required — and what lets the pool degrade
+gracefully from N workers to N−1 … 1.  This module holds the knobs
+(:class:`SupervisorPolicy`) and the test harness (:class:`KillSpec`);
+:mod:`repro.supervise.stats` holds the counters and the ledger.
 
 Detection
 ---------
@@ -34,6 +38,9 @@ Detection
   Stalled workers are SIGKILLed and handled like crashes.
 * **Worker error** — the shard raised inside a live worker; the worker
   reports a traceback and stays in the pool.
+
+Detection runs with recovery off too: an unsupervised run raises
+:class:`~repro.parallel.WorkerFailure` on the first crash or stall.
 
 Recovery
 --------
@@ -55,25 +62,16 @@ the Nth request of a round) for the parity matrix, and
 ``FaultPlan.worker_fault`` drives chaos-style crashes/stalls keyed on
 (request nonce, incarnation generation) — generation keying is what
 lets a respawned worker get *past* the request that killed its
-predecessor, so plan-driven crashes recover instead of looping.
+predecessor, so plan-driven crashes recover instead of looping.  Both
+fire only with recovery on.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import queue as queue_module
-import time
-import traceback
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
-from repro.core.datastore import SerpDataset, SerpRecord
-from repro.core.runner import CrawlFailure, CrawlStats, Study
-from repro.faults.injector import FaultStats
-from repro.seeding import stable_hash
-from repro.supervise.stats import SupervisorEvent, SupervisorReport
+from repro.core.datastore import SerpDataset
 
 __all__ = [
     "KillSpec",
@@ -81,23 +79,18 @@ __all__ = [
     "run_supervised",
 ]
 
-#: Exit codes chosen by injected kills (visible in ledger details).
-_BOUNDARY_CRASH_EXIT = 73
-_MIDROUND_CRASH_EXIT = 74
-_PLAN_CRASH_EXIT = 57
-
-#: Per-worker message-queue slack before backpressure kicks in.
-_QUEUE_DEPTH_PER_WORKER = 8
-
 
 @dataclass(frozen=True)
 class SupervisorPolicy:
-    """Detection/recovery knobs for one supervised run.
+    """Detection/recovery knobs for one parallel run.
 
-    The defaults are deliberately conservative: false stall positives
-    only cost wasted re-execution (parity is unaffected and the
-    quarantine counter resets on progress), but a too-eager watchdog
-    on a loaded CI host would churn.
+    The detection fields (stall deadlines, poll interval) apply to
+    every run; the recovery fields (``quarantine_after``,
+    ``max_respawns``) only to supervised ones.  The defaults are
+    deliberately conservative: a false stall positive costs a wasted
+    re-execution under supervision (parity is unaffected and the
+    quarantine counter resets on progress) but fails an unsupervised
+    run, and a too-eager watchdog on a loaded CI host would churn.
     """
 
     quarantine_after: int = 3
@@ -168,721 +161,8 @@ class KillSpec:
             raise ValueError(f"unknown kill mode {self.mode!r}")
 
 
-# ---------------------------------------------------------------------------
-# Worker side
-# ---------------------------------------------------------------------------
+def run_supervised(study, **kwargs) -> SerpDataset:
+    """``run_parallel(study, supervise=True, ...)``, under its historical name."""
+    from repro.parallel import run_parallel
 
-
-class _WorkerHarness:
-    """One shard execution inside a supervised worker.
-
-    Bridges three things into the running :class:`Study`:
-    heartbeats/results onto the parent's queue, :class:`KillSpec`
-    murder points, and the ``FaultPlan`` worker-fault context (the
-    injector calls :meth:`crash`/:meth:`stall` through the duck-typed
-    ``worker_context`` hook, keyed on :attr:`generation`).
-    """
-
-    def __init__(
-        self,
-        worker_id: int,
-        shard_id: int,
-        generation: int,
-        result_queue,
-        kill_specs: Sequence[KillSpec],
-    ) -> None:
-        self.worker_id = worker_id
-        self.shard_id = shard_id
-        self.generation = generation
-        self.queue = result_queue
-        self.specs = [
-            spec
-            for spec in kill_specs
-            if spec.shard == shard_id
-            and spec.generation in (None, generation)
-        ]
-        self._ordinal = -1
-        self._submits = 0
-
-    def arm(self, study: Study) -> None:
-        network = study.network
-        # Plan-driven worker faults fire only inside supervised workers:
-        # the injector consults this context (when the plan carries
-        # worker rates) before dispatching each request.
-        network.worker_context = self
-        if any(spec.request is not None for spec in self.specs):
-            original = network.submit
-
-            def submit(*args, **kwargs):
-                self._submits += 1
-                for spec in self.specs:
-                    if (
-                        spec.request is not None
-                        and spec.ordinal == self._ordinal
-                        and spec.request == self._submits
-                    ):
-                        self._die(spec.mode, flush=False)
-                return original(*args, **kwargs)
-
-            network.submit = submit
-
-    def heartbeat(self, ordinal: int, timestamp: float) -> None:
-        self._ordinal = ordinal
-        self._submits = 0
-        self.queue.put(
-            ("heartbeat", self.worker_id, self.shard_id, ordinal, timestamp)
-        )
-
-    def emit_round(self, ordinal: int, outcomes, state, spans) -> None:
-        self.queue.put(
-            ("round", self.worker_id, self.shard_id, ordinal, outcomes, state, spans)
-        )
-        for spec in self.specs:
-            if spec.request is None and spec.ordinal == ordinal:
-                self._die(spec.mode, flush=True)
-
-    # -- murder weapons (also the FaultPlan worker_context protocol) ----------
-
-    def crash(self) -> None:
-        """Plan-driven crash, pre-dispatch: nothing of the partial
-        round escapes the process, so resume is byte-exact."""
-        self._flush_queue()
-        os._exit(_PLAN_CRASH_EXIT)
-
-    def stall(self) -> None:
-        """Plan-driven hang: block until the supervisor SIGKILLs us."""
-        while True:
-            time.sleep(3600)
-
-    def _flush_queue(self) -> None:
-        """Drain the feeder thread before dying.
-
-        ``multiprocessing.Queue`` writes happen on a background feeder
-        thread under a write lock *shared across processes*.  Exiting
-        while our feeder is mid-write would take that lock to the
-        grave and wedge every surviving worker's queue — so even
-        "dirty" deaths drain first.  The current partial round is still
-        discarded with the process: its round message was never
-        enqueued, only already-complete rounds and heartbeats flush.
-        """
-        try:
-            self.queue.close()
-            self.queue.join_thread()
-        except Exception:
-            pass
-
-    def _die(self, mode: str, *, flush: bool) -> None:
-        self._flush_queue()
-        if mode == "stall":
-            self.stall()
-        os._exit(_BOUNDARY_CRASH_EXIT if flush else _MIDROUND_CRASH_EXIT)
-
-
-def _supervised_worker_main(
-    worker_id: int,
-    config,
-    result_queue,
-    command_queue,
-    kill_specs: Tuple[KillSpec, ...],
-    trace: bool,
-) -> None:
-    """Supervised worker loop: execute shard assignments until told to exit.
-
-    Each assignment rebuilds a fresh :class:`Study` (cheap — everything
-    derives from the config seed) and restores the shard's snapshot if
-    one is given, so a reassigned or respawned shard resumes exactly
-    where its previous incarnation's last *accepted* round left off.
-    """
-    while True:
-        command = command_queue.get()
-        if command[0] == "exit":
-            return
-        _, shard_id, indices, start_ordinal, state, generation = command
-        try:
-            study = Study(config)
-            if state is not None:
-                study.restore_state(state)
-            harness = _WorkerHarness(
-                worker_id, shard_id, generation, result_queue, kill_specs
-            )
-            harness.arm(study)
-            study.run_shard(
-                list(indices),
-                on_round=harness.emit_round,
-                on_round_start=harness.heartbeat,
-                start_ordinal=start_ordinal,
-                capture_state=True,
-                trace=trace,
-            )
-            result_queue.put(
-                ("shard-done", worker_id, shard_id, study.stats, study.fault_stats)
-            )
-        except BaseException:
-            result_queue.put(
-                ("error", worker_id, shard_id, traceback.format_exc())
-            )
-
-
-# ---------------------------------------------------------------------------
-# Parent side
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _ShardState:
-    """Parent-side bookkeeping for one shard's lifecycle."""
-
-    shard_id: int
-    indices: Tuple[int, ...]
-    next_ordinal: int = 0
-    """First round not yet accepted — the resume point."""
-    snapshot: Optional[dict] = None
-    """Last accepted round's :meth:`Study.capture_state` payload."""
-    generation: int = 0
-    """Total failures so far == incarnation number of the next run."""
-    failures_since_progress: int = 0
-    done: bool = False
-    quarantined: bool = False
-    worker: Optional[int] = None
-    """Slot currently executing this shard (None = unassigned)."""
-    last_virtual: float = 0.0
-    """Virtual minutes of the last heartbeat (schedule position)."""
-
-
-@dataclass
-class _WorkerSlot:
-    """Parent-side bookkeeping for one worker slot."""
-
-    worker_id: int
-    process: multiprocessing.process.BaseProcess
-    command_queue: object
-    shard: Optional[int] = None
-    """Shard this slot is executing (None = idle)."""
-    dead: bool = False
-    retired: bool = False
-    """Counted as lost capacity already (degradation N -> N-1)."""
-    last_message_wall: float = field(default_factory=time.monotonic)
-
-    @property
-    def available(self) -> bool:
-        return not self.dead and self.shard is None
-
-
-class _Supervisor:
-    """The parent-side supervision loop for one run."""
-
-    def __init__(
-        self,
-        study: Study,
-        plan,
-        policy: SupervisorPolicy,
-        report: SupervisorReport,
-        context,
-        result_queue,
-        sink,
-        builder,
-        kill_specs: Tuple[KillSpec, ...],
-        trace: bool,
-        event_builder=None,
-    ) -> None:
-        self.study = study
-        self.policy = policy
-        self.report = report
-        self.stats = report.stats
-        self.context = context
-        self.result_queue = result_queue
-        self.sink = sink
-        self.builder = builder
-        self.event_builder = event_builder
-        self.kill_specs = kill_specs
-        self.trace = trace
-        self.total_rounds = study.round_count()
-        self.shards = [
-            _ShardState(shard_id=i, indices=tuple(indices))
-            for i, indices in enumerate(plan.assignments)
-        ]
-        self.slots: List[_WorkerSlot] = []
-        self.orphans: deque = deque()
-        self.respawns_used = 0
-        # Merge state, as in the unsupervised executor — except
-        # arrivals hold shard-id *sets* (a shard's round can arrive
-        # from any incarnation, but only once).
-        self.pending: Dict[int, list] = {}
-        self.spans: Dict[int, list] = {}
-        self.arrivals: Dict[int, Set[int]] = {}
-        self.next_flush = 0
-        self._all_shards = frozenset(s.shard_id for s in self.shards)
-        self.dataset: Optional[SerpDataset] = None
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> None:
-        for shard in self.shards:
-            slot = self._spawn_slot(len(self.slots))
-            self.slots.append(slot)
-            self._assign(shard, slot)
-
-    def _spawn_slot(self, worker_id: int) -> _WorkerSlot:
-        command_queue = self.context.Queue()
-        process = self.context.Process(
-            target=_supervised_worker_main,
-            args=(
-                worker_id,
-                self.study.config,
-                self.result_queue,
-                command_queue,
-                self.kill_specs,
-                self.trace,
-            ),
-            name=f"crawl-worker-{worker_id}",
-            daemon=True,
-        )
-        process.start()
-        return _WorkerSlot(
-            worker_id=worker_id, process=process, command_queue=command_queue
-        )
-
-    def _assign(self, shard: _ShardState, slot: _WorkerSlot) -> None:
-        shard.worker = slot.worker_id
-        slot.shard = shard.shard_id
-        slot.last_message_wall = time.monotonic()
-        slot.command_queue.put(
-            (
-                "run",
-                shard.shard_id,
-                shard.indices,
-                shard.next_ordinal,
-                shard.snapshot,
-                shard.generation,
-            )
-        )
-
-    def run(self, dataset: SerpDataset) -> None:
-        self.dataset = dataset
-        self.start()
-        while not all(s.done or s.quarantined for s in self.shards):
-            try:
-                message = self.result_queue.get(timeout=self.policy.poll_seconds)
-            except queue_module.Empty:
-                self._watchdog()
-                continue
-            self._dispatch(message)
-            self._watchdog()
-        self._flush_ready()
-        if self.next_flush != self.total_rounds:
-            raise RuntimeError(
-                f"supervised merge incomplete: flushed {self.next_flush} "
-                f"of {self.total_rounds} rounds"
-            )
-
-    def shutdown(self) -> None:
-        for slot in self.slots:
-            if slot.dead:
-                continue
-            try:
-                slot.command_queue.put(("exit",))
-            except Exception:
-                pass
-        deadline = time.monotonic() + 5.0
-        for slot in self.slots:
-            slot.process.join(timeout=max(0.0, deadline - time.monotonic()))
-        for slot in self.slots:
-            if slot.process.is_alive():
-                slot.process.terminate()
-        for slot in self.slots:
-            slot.process.join()
-
-    # -- message handling ----------------------------------------------------
-
-    def _dispatch(self, message) -> None:
-        kind = message[0]
-        if kind == "heartbeat":
-            _, worker_id, shard_id, ordinal, timestamp = message
-            shard = self.shards[shard_id]
-            if ordinal < shard.next_ordinal:
-                return  # stale incarnation
-            self._touch(worker_id)
-            shard.last_virtual = timestamp
-            self.stats.heartbeats += 1
-        elif kind == "round":
-            _, worker_id, shard_id, ordinal, outcomes, state, round_spans = message
-            shard = self.shards[shard_id]
-            self._touch(worker_id)
-            if shard.done or shard.quarantined or ordinal != shard.next_ordinal:
-                return  # duplicate from a dead incarnation
-            self.pending.setdefault(ordinal, []).extend(outcomes)
-            if round_spans is not None:
-                self.spans.setdefault(ordinal, []).extend(round_spans)
-            self.arrivals.setdefault(ordinal, set()).add(shard_id)
-            shard.snapshot = state
-            shard.next_ordinal = ordinal + 1
-            shard.failures_since_progress = 0
-            self.stats.rounds_received += 1
-            self._flush_ready()
-        elif kind == "shard-done":
-            _, worker_id, shard_id, stats, fault_stats = message
-            shard = self.shards[shard_id]
-            self._touch(worker_id)
-            if shard.done or shard.quarantined:
-                return
-            if shard.next_ordinal != self.total_rounds:
-                return  # stale incarnation that resumed behind a newer one
-            shard.done = True
-            shard.worker = None
-            # The completing incarnation restored the shard's snapshot,
-            # so its counters cover the *whole* shard — merge once.
-            self.study.stats.merge(stats)
-            self.study.fault_stats.merge(fault_stats)
-            self._release_slot(self.slots[worker_id])
-        else:  # "error"
-            _, worker_id, shard_id, tb = message
-            self._touch(worker_id)
-            slot = self.slots[worker_id]
-            slot.shard = None
-            self.stats.worker_errors += 1
-            detail = tb.strip().splitlines()[-1] if tb.strip() else "unknown error"
-            self._handle_failure(
-                self.shards[shard_id], slot, "worker-error", detail
-            )
-
-    def _touch(self, worker_id: int) -> None:
-        self.slots[worker_id].last_message_wall = time.monotonic()
-
-    def _flush_ready(self) -> None:
-        while self.arrivals.get(self.next_flush) == self._all_shards:
-            outcomes = sorted(
-                self.pending.pop(self.next_flush), key=lambda pair: pair[0]
-            )
-            round_spans = self.spans.pop(self.next_flush, None)
-            del self.arrivals[self.next_flush]
-            if self.builder is not None:
-                self.builder.add_round(self.next_flush, round_spans or [])
-            if self.event_builder is not None:
-                self.event_builder.add_round(self.next_flush, outcomes)
-            for _, outcome in outcomes:
-                if isinstance(outcome, SerpRecord):
-                    self.dataset.add(outcome)
-                    if self.sink is not None:
-                        self.sink(outcome)
-                else:
-                    self.study.failures.append(outcome)
-            self.next_flush += 1
-
-    # -- detection -----------------------------------------------------------
-
-    def _watchdog(self) -> None:
-        now = time.monotonic()
-        leader = max(
-            (s.next_ordinal for s in self.shards if not s.quarantined),
-            default=0,
-        )
-        for slot in self.slots:
-            if slot.dead or slot.shard is None:
-                continue
-            shard = self.shards[slot.shard]
-            if slot.process.exitcode is not None:
-                # Drain in-flight messages first: the dead worker's
-                # final rounds may still sit in the queue, and accepting
-                # them moves the resume point forward.
-                self._drain()
-                if slot.dead or slot.shard is None:
-                    continue  # the drain resolved it (e.g. shard-done)
-                self.stats.crashes_detected += 1
-                slot.dead = True
-                slot.shard = None
-                self._handle_failure(
-                    shard,
-                    slot,
-                    "crash-detected",
-                    f"exit code {slot.process.exitcode}",
-                )
-                continue
-            silence = now - slot.last_message_wall
-            wall_stalled = silence >= self.policy.stall_timeout_seconds
-            virtual_stalled = (
-                silence >= self.policy.stall_grace_seconds
-                and leader - shard.next_ordinal >= self.policy.stall_rounds
-            )
-            if wall_stalled or virtual_stalled:
-                self.stats.stalls_detected += 1
-                slot.process.kill()
-                slot.process.join()
-                slot.dead = True
-                slot.shard = None
-                deadline = (
-                    "wall watchdog" if wall_stalled else "virtual deadline"
-                )
-                self._handle_failure(
-                    shard,
-                    slot,
-                    "stall-detected",
-                    f"{deadline}: silent {silence:.1f}s at round "
-                    f"{shard.next_ordinal} (leader {leader})",
-                )
-
-    def _drain(self) -> None:
-        """Process every message already in the queue, without blocking."""
-        while True:
-            try:
-                message = self.result_queue.get_nowait()
-            except queue_module.Empty:
-                return
-            self._dispatch(message)
-
-    # -- recovery ------------------------------------------------------------
-
-    def _event(self, kind: str, shard: _ShardState, worker: int, detail: str) -> None:
-        self.report.record(
-            SupervisorEvent(
-                kind=kind,
-                worker=worker,
-                shard=shard.shard_id,
-                generation=shard.generation,
-                resume_ordinal=shard.next_ordinal,
-                virtual_minutes=shard.last_virtual,
-                detail=detail,
-            )
-        )
-
-    def _handle_failure(
-        self, shard: _ShardState, slot: _WorkerSlot, kind: str, detail: str
-    ) -> None:
-        if shard.done or shard.quarantined:
-            return
-        shard.worker = None
-        shard.generation += 1
-        shard.failures_since_progress += 1
-        self._event(kind, shard, slot.worker_id, detail)
-        if shard.failures_since_progress >= self.policy.quarantine_after:
-            self._quarantine(shard)
-            return
-        self._recover(shard)
-
-    def _recover(self, shard: _ShardState) -> None:
-        # Cheapest first: an idle surviving worker takes the shard with
-        # no new process.  Otherwise respawn (within budget) to keep
-        # pool capacity; otherwise park the shard until a survivor goes
-        # idle — graceful degradation from N workers to N-1 ... 1.
-        for slot in self.slots:
-            if slot.available and slot.process.is_alive():
-                self._reassign(shard, slot)
-                return
-        budget_left = (
-            self.policy.max_respawns is None
-            or self.respawns_used < self.policy.max_respawns
-        )
-        survivors = any(
-            not slot.dead and slot.process.is_alive() for slot in self.slots
-        )
-        if budget_left or not survivors:
-            # A respawn past the budget only happens when the pool is
-            # empty — the alternative is deadlock, not degradation.
-            self._respawn(shard)
-            return
-        self.orphans.append(shard.shard_id)
-
-    def _respawn(self, shard: _ShardState) -> None:
-        self.respawns_used += 1
-        self.stats.respawns += 1
-        slot = self._spawn_slot(len(self.slots))
-        self.slots.append(slot)
-        self._assign(shard, slot)
-        self._event(
-            "respawned",
-            shard,
-            slot.worker_id,
-            f"replacement process (generation {shard.generation})",
-        )
-
-    def _reassign(self, shard: _ShardState, slot: _WorkerSlot) -> None:
-        self.stats.reassignments += 1
-        self._retire_dead_slots()
-        self._assign(shard, slot)
-        self._event(
-            "reassigned",
-            shard,
-            slot.worker_id,
-            f"to surviving worker {slot.worker_id} "
-            f"(generation {shard.generation})",
-        )
-
-    def _retire_dead_slots(self) -> None:
-        """Book lost capacity once per dead slot we chose not to replace."""
-        for slot in self.slots:
-            if slot.dead and not slot.retired:
-                slot.retired = True
-                self.stats.workers_lost += 1
-
-    def _release_slot(self, slot: _WorkerSlot) -> None:
-        slot.shard = None
-        if self.orphans:
-            shard = self.shards[self.orphans.popleft()]
-            self._reassign(shard, slot)
-
-    # -- quarantine ----------------------------------------------------------
-
-    def _quarantine(self, shard: _ShardState) -> None:
-        """Give up on a deterministically failing shard — loudly.
-
-        The crawled prefix is kept (stats from the last snapshot, rounds
-        already merged); every remaining (round × treatment) cell
-        becomes a structured failure that flows through
-        ``per_location_coverage`` like any other, so the hole is
-        visible, attributable, and never silent.
-        """
-        shard.quarantined = True
-        self.stats.quarantined_shards += 1
-        self._event(
-            "quarantined",
-            shard,
-            -1,
-            f"after {shard.failures_since_progress} consecutive failures "
-            f"without progress; rounds {shard.next_ordinal}.."
-            f"{self.total_rounds - 1} forfeited",
-        )
-        if shard.snapshot is not None:
-            prefix_stats = CrawlStats()
-            prefix_stats.restore_state(shard.snapshot["stats"])
-            self.study.stats.merge(prefix_stats)
-            prefix_faults = FaultStats()
-            prefix_faults.restore_state(shard.snapshot["fault_stats"])
-            self.study.fault_stats.merge(prefix_faults)
-        reason = (
-            f"shard {shard.shard_id} quarantined after "
-            f"{shard.failures_since_progress} consecutive worker failures"
-        )
-        for scheduled in self.study.iter_rounds():
-            if scheduled.ordinal < shard.next_ordinal:
-                continue
-            for index in shard.indices:
-                treatment = self.study.treatments[index]
-                self.pending.setdefault(scheduled.ordinal, []).append(
-                    (
-                        index,
-                        CrawlFailure(
-                            query=scheduled.query.text,
-                            location_name=treatment.region.qualified_name,
-                            day=scheduled.day_offset,
-                            copy_index=treatment.copy_index,
-                            reason=reason,
-                            kind="shard-quarantined",
-                        ),
-                    )
-                )
-                self.study.stats.record_failure_kind("shard-quarantined")
-                self.stats.quarantined_failures += 1
-            self.arrivals.setdefault(scheduled.ordinal, set()).add(shard.shard_id)
-
-    # -- trace integration ---------------------------------------------------
-
-    def event_trees(self, trace_id: str, root_id: str) -> List[dict]:
-        """The recovery ledger as zero-length spans under the study root."""
-        from repro.obs.trace import format_id
-
-        trees = []
-        for seq, event in enumerate(self.report.events):
-            trees.append(
-                {
-                    "id": format_id(
-                        stable_hash("supervisor-span", trace_id, seq)
-                    ),
-                    "parent": root_id,
-                    "name": f"supervisor.{event.kind}",
-                    "start": event.virtual_minutes,
-                    "end": event.virtual_minutes,
-                    "attrs": {
-                        "worker": event.worker,
-                        "shard": event.shard,
-                        "generation": event.generation,
-                        "resume_ordinal": event.resume_ordinal,
-                        "detail": event.detail,
-                    },
-                    "events": [],
-                    "children": [],
-                }
-            )
-        return trees
-
-
-def run_supervised(
-    study: Study,
-    *,
-    workers: int,
-    sink=None,
-    start_method: Optional[str] = None,
-    trace: Optional[str] = None,
-    events: Optional[str] = None,
-    policy: Optional[SupervisorPolicy] = None,
-    kill_specs: Sequence[KillSpec] = (),
-) -> SerpDataset:
-    """Run ``study`` sharded across supervised worker processes.
-
-    Behaves like :func:`repro.parallel.run_parallel` — byte-identical
-    merged dataset, stats, failures — but survives worker crashes,
-    hangs, and errors (see the module docstring for the model).  Leaves
-    the :class:`~repro.supervise.stats.SupervisorReport` on
-    ``study.supervisor`` (counters + ordered recovery ledger).
-
-    Args:
-        study: A freshly constructed study.
-        workers: Requested worker count (clamped to occupied machines).
-        sink: Optional per-record callable, as in :meth:`Study.run`.
-        start_method: ``multiprocessing`` start method override.
-        trace: Optional canonical trace path.  Recovery events are
-            appended as ``supervisor.*`` spans under the study root, so
-            a clean supervised trace is byte-identical to the
-            unsupervised one.
-        events: Optional wide-event log path.  Events are synthesized
-            from the merged outcome stream, so a supervised log is
-            byte-identical to the sequential one even across recoveries.
-        policy: Detection/recovery knobs (default
-            :class:`SupervisorPolicy`).
-        kill_specs: :class:`KillSpec` murder points (tests/chaos CLI).
-    """
-    from repro.parallel.executor import _preferred_start_method, plan_shards
-
-    if study.stats.requests or study.failures:
-        raise ValueError(
-            "supervised run requires a freshly constructed Study "
-            "(this one has already crawled)"
-        )
-    policy = policy or SupervisorPolicy()
-    plan = plan_shards(len(study.treatments), len(study.fleet), workers)
-    report = SupervisorReport(workers=plan.workers)
-    study.supervisor = report
-    builder = study._trace_builder(trace) if trace is not None else None
-    event_builder = study._events_builder(events) if events is not None else None
-    context = multiprocessing.get_context(
-        start_method or _preferred_start_method()
-    )
-    result_queue = context.Queue(maxsize=plan.workers * _QUEUE_DEPTH_PER_WORKER)
-    supervisor = _Supervisor(
-        study,
-        plan,
-        policy,
-        report,
-        context,
-        result_queue,
-        sink,
-        builder,
-        tuple(kill_specs),
-        trace is not None,
-        event_builder,
-    )
-    dataset = SerpDataset()
-    try:
-        supervisor.run(dataset)
-    finally:
-        if builder is not None:
-            if report.events:
-                builder.add_trees(
-                    supervisor.event_trees(
-                        builder.trace_id, study.tracer.study_span_id()
-                    )
-                )
-            builder.close()
-            study.tracer.disable()
-        if event_builder is not None:
-            event_builder.close()
-        supervisor.shutdown()
-    return dataset
+    return run_parallel(study, supervise=True, **kwargs)

@@ -233,8 +233,11 @@ class TestDeterminism:
         assert audit.store.alert_ledger_bytes() == baseline[1]
         scheduler.close()
 
-    def test_mid_cycle_kill_resumes_byte_identical(self, tmp_path, baseline):
-        spec = _spec(checkpoint_cycles=True)
+    @pytest.mark.parametrize("supervise", [False, True])
+    def test_mid_cycle_kill_resumes_byte_identical(
+        self, tmp_path, baseline, supervise
+    ):
+        spec = _spec(checkpoint_cycles=True, supervise=supervise)
         scheduler = AuditScheduler(str(tmp_path / "midkill"))
         scheduler.register(spec)
         scheduler.run_cycle("aud")
@@ -335,8 +338,6 @@ class TestSchedulerValidation:
             _spec(name="bad name!")
         with pytest.raises(ValueError, match="workers"):
             _spec(workers=0)
-        with pytest.raises(ValueError, match="supervise"):
-            _spec(checkpoint_cycles=True, supervise=True)
         with pytest.raises(ValueError, match="trace"):
             _spec(checkpoint_cycles=True, trace_cycles=True)
         with pytest.raises(ValueError, match="interval"):

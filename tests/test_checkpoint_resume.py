@@ -22,9 +22,11 @@ from repro.core.experiment import StudyConfig
 from repro.core.runner import Study
 from repro.faults.checkpoint import CheckpointError, load_checkpoint
 from repro.faults.plan import FaultPlan
+from repro.parallel import run_parallel
 from repro.queries.corpus import build_corpus
 from repro.store import StoreCorruption
 from repro.store.record_log import read_log
+from repro.supervise import KillSpec, SupervisorPolicy
 
 #: >10% request-level fault rate, every fault kind enabled.
 CHAOS = FaultPlan.named("chaos")
@@ -62,17 +64,31 @@ def _killing_sink(after: int):
     return sink, seen
 
 
-def _run_killed_then_resumed(config, path, kill_after: int, workers: int = 1):
-    """Kill a checkpointed run after N records, resume, return the study."""
+def _checkpointed_run(study, path, sink, workers, options):
+    """``Study.run``, or ``run_parallel`` when executor options are given."""
+    if options:
+        return run_parallel(
+            study, workers=workers, sink=sink, checkpoint=str(path), **options
+        )
+    return study.run(sink=sink, workers=workers, checkpoint=str(path))
+
+
+def _run_killed_then_resumed(
+    config, path, kill_after: int, workers: int = 1, **options
+):
+    """Kill a checkpointed run after N records, resume, return both studies.
+
+    ``options`` (``supervise``, ``policy``, ``kill_specs``, ``events``)
+    go to both runs.
+    """
     sink, _ = _killing_sink(kill_after)
+    killed = Study(config)
     with pytest.raises(Killed):
-        Study(config).run(sink=sink, workers=workers, checkpoint=str(path))
+        _checkpointed_run(killed, path, sink, workers, options)
     resumed = Study(config)
     replayed = []
-    dataset = resumed.run(
-        sink=replayed.append, workers=workers, checkpoint=str(path)
-    )
-    return resumed, dataset, replayed
+    dataset = _checkpointed_run(resumed, path, replayed.append, workers, options)
+    return killed, resumed, dataset, replayed
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +131,7 @@ class TestSequentialResume:
             if kill_after == 0:
                 continue
             path = tmp_path / f"boundary-{kill_after}.ckpt"
-            resumed, dataset, replayed = _run_killed_then_resumed(
+            _, resumed, dataset, replayed = _run_killed_then_resumed(
                 _config(), path, kill_after
             )
             assert _serialized(dataset) == expected, f"kill@{kill_after}"
@@ -132,7 +148,7 @@ class TestSequentialResume:
         # Odd kill points land mid-round (rounds hold ~12 records).
         for kill_after in (1, 5, 17, len(base_dataset) - 1):
             path = tmp_path / f"midround-{kill_after}.ckpt"
-            resumed, dataset, _ = _run_killed_then_resumed(
+            _, resumed, dataset, _ = _run_killed_then_resumed(
                 _config(), path, kill_after
             )
             assert _serialized(dataset) == expected, f"kill@{kill_after}"
@@ -174,13 +190,28 @@ class TestSequentialResume:
 
 
 class TestParallelResume:
-    def test_kill_mid_shard_with_two_workers(self, baseline, tmp_path):
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {},
+            {"supervise": True},
+            # Shard 0's worker dies after delivering round 0, so round 1
+            # only flushes once a respawned worker re-delivers it: any
+            # parent kill past two rounds' records comes after the crash.
+            {"supervise": True, "kill_specs": (KillSpec(shard=0, ordinal=0),)},
+        ],
+        ids=["unsupervised", "supervised", "supervised-worker-crash"],
+    )
+    def test_kill_mid_shard_with_two_workers(self, baseline, tmp_path, options):
         base_study, base_dataset = baseline
         expected = _serialized(base_dataset)
+        expected_events = tmp_path / "uninterrupted.events.jsonl"
+        Study(_config()).run(events=str(expected_events))
         for kill_after in (3, 11, 25):
             path = tmp_path / f"par-{kill_after}.ckpt"
-            resumed, dataset, replayed = _run_killed_then_resumed(
-                _config(), path, kill_after, workers=2
+            events = tmp_path / f"par-{kill_after}.events.jsonl"
+            killed, resumed, dataset, replayed = _run_killed_then_resumed(
+                _config(), path, kill_after, workers=2, events=str(events), **options
             )
             assert _serialized(dataset) == expected, f"workers=2 kill@{kill_after}"
             assert resumed.stats == base_study.stats
@@ -188,6 +219,64 @@ class TestParallelResume:
             assert resumed.fault_stats == base_study.fault_stats
             assert resumed.fault_stats.unaccounted() == {}
             assert _serialized(dataset) == _serialized(replayed)
+            assert events.read_bytes() == expected_events.read_bytes()
+            if options.get("kill_specs") and kill_after == 25:
+                assert killed.supervisor.stats.crashes_detected == 1
+                assert killed.supervisor.stats.recoveries == 1
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(False, True), (True, False)],
+        ids=["unsupervised-then-supervised", "supervised-then-unsupervised"],
+    )
+    def test_journal_resumes_across_supervision_modes(
+        self, baseline, tmp_path, first, second
+    ):
+        base_study, base_dataset = baseline
+        path = tmp_path / "modes.ckpt"
+        sink, _ = _killing_sink(11)
+        with pytest.raises(Killed):
+            Study(_config()).run(
+                sink=sink, workers=2, checkpoint=str(path), supervise=first
+            )
+        resumed = Study(_config())
+        dataset = resumed.run(workers=2, checkpoint=str(path), supervise=second)
+        assert _serialized(dataset) == _serialized(base_dataset)
+        assert resumed.stats == base_study.stats
+        assert resumed.failures == base_study.failures
+        assert resumed.fault_stats == base_study.fault_stats
+
+    def test_quarantine_then_parent_kill_resumes_identically(self, tmp_path):
+        options = {
+            "supervise": True,
+            "policy": SupervisorPolicy(quarantine_after=2),
+            # generation=None: every incarnation dies at the same request,
+            # so shard 0 is quarantined from round 1 on.
+            "kill_specs": (
+                KillSpec(shard=0, ordinal=1, request=1, generation=None),
+            ),
+        }
+        whole = Study(_config())
+        whole_events = tmp_path / "whole.events.jsonl"
+        expected = _serialized(
+            run_parallel(whole, workers=2, events=str(whole_events), **options)
+        )
+        assert whole.supervisor.stats.quarantined_shards == 1
+        # Kill at 3 lands before the quarantine is journalled (the resume
+        # re-runs shard 0 into it); at 20 the journal holds the marker.
+        for kill_after in (3, 20):
+            path = tmp_path / f"quarantine-{kill_after}.ckpt"
+            events = tmp_path / f"quarantine-{kill_after}.events.jsonl"
+            _, resumed, dataset, replayed = _run_killed_then_resumed(
+                _config(), path, kill_after, workers=2, events=str(events), **options
+            )
+            assert _serialized(dataset) == expected, f"kill@{kill_after}"
+            assert _serialized(replayed) == expected
+            assert resumed.failures == whole.failures
+            assert resumed.stats == whole.stats
+            assert resumed.fault_stats == whole.fault_stats
+            assert events.read_bytes() == whole_events.read_bytes()
+            assert resumed.supervisor.stats.quarantined_shards == 1
 
     def test_uninterrupted_parallel_checkpoint_matches_sequential(
         self, baseline, tmp_path

@@ -218,19 +218,21 @@ class TestChaosCommand:
         assert "location coverage" in out
         assert "all injected faults accounted for" in out
 
-    def test_chaos_smoke_parallel_with_checkpoint(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "extra", [[], ["--kill-workers"]], ids=["plain", "kill-workers"]
+    )
+    def test_chaos_smoke_parallel_with_checkpoint(self, tmp_path, capsys, extra):
         ckpt = tmp_path / "chaos.ckpt"
-        assert main(
-            ["chaos", "--smoke", "--workers", "2", "--checkpoint", str(ckpt)]
-        ) == 0
+        first, replay = tmp_path / "first.jsonl", tmp_path / "replay.jsonl"
+        argv = ["chaos", "--smoke", "--workers", "2", "--checkpoint", str(ckpt)]
+        assert main(argv + extra + ["--out", str(first)]) == 0
         assert ckpt.exists()
         assert "all injected faults accounted for" in capsys.readouterr().out
         # Re-running against the completed journal replays rather than
-        # re-crawling and reaches the same verdict.
-        assert main(
-            ["chaos", "--smoke", "--workers", "2", "--checkpoint", str(ckpt)]
-        ) == 0
+        # re-crawling and reaches the same verdict and the same bytes.
+        assert main(argv + extra + ["--out", str(replay)]) == 0
         assert "all injected faults accounted for" in capsys.readouterr().out
+        assert replay.read_bytes() == first.read_bytes()
 
     def test_run_with_checkpoint_is_reproducible(self, tmp_path):
         out = tmp_path / "mini.jsonl"

@@ -243,31 +243,38 @@ class TestZeroRebuildWorkers:
         assert study.worker_rebuilds == 2
 
     def test_worker_main_reports_rebuild_path(self):
-        from repro.parallel.executor import _worker_main
+        from repro.parallel.executor import _worker_loop
 
         class Sink:
-            def __init__(self):
-                self.messages = []
+            def __init__(self, messages=()):
+                self.messages = list(messages)
 
             def put(self, message):
                 self.messages.append(message)
+
+            def get(self):
+                return self.messages.pop(0)
 
         config = _config()
         study = Study(config)
         study.prefork_warmup()
         plan = plan_shards(len(study.treatments), len(study.fleet), 2)
 
-        inherited = Sink()
-        _worker_main(0, study, plan.assignments[0], inherited)
-        done = inherited.messages[-1]
-        assert done[0] == "done"
-        assert done[4] is False
+        def run_worker(worker_id, payload):
+            results = Sink()
+            commands = Sink(
+                [("run", worker_id, plan.assignments[worker_id], 0, None, 0), ("exit",)]
+            )
+            _worker_loop(worker_id, payload, results, commands, (), False, False, False)
+            return results.messages[-1]
 
-        rebuilt = Sink()
-        _worker_main(1, config, plan.assignments[1], rebuilt)
-        done = rebuilt.messages[-1]
-        assert done[0] == "done"
-        assert done[4] is True
+        done = run_worker(0, study)
+        assert done[0] == "shard-done"
+        assert done[5] is False
+
+        done = run_worker(1, config)
+        assert done[0] == "shard-done"
+        assert done[5] is True
 
     def test_prefork_warmup_is_output_invisible(self):
         config = _config()

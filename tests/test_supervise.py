@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import time
 
 import pytest
 
@@ -88,15 +89,6 @@ class TestValidation:
             run_parallel(Study(_config()), workers=2, kill_specs=(
                 KillSpec(shard=0, ordinal=0),
             ))
-
-    def test_supervise_refuses_checkpoint(self, tmp_path):
-        with pytest.raises(ValueError, match="checkpoint"):
-            run_parallel(
-                Study(_config()),
-                workers=2,
-                supervise=True,
-                checkpoint=str(tmp_path / "journal.jsonl"),
-            )
 
 
 class TestCleanSupervised:
@@ -289,6 +281,27 @@ class TestUnsupervisedFailureIsStructured:
         assert info.value.exit_code == 9
         assert info.value.worker_id == 0
         assert "supervise=True" in str(info.value)
+
+    def test_hung_worker_raises_worker_failure(self, monkeypatch):
+        # A worker that is alive but silent must not hang the parent:
+        # the shared watchdog kills it and the run fails structured.
+        original = Study.run_shard
+
+        def hanging(self, indices, **kwargs):
+            if 0 in indices:
+                while True:
+                    time.sleep(3600)
+            return original(self, indices, **kwargs)
+
+        monkeypatch.setattr(Study, "run_shard", hanging)
+        started = time.monotonic()
+        with pytest.raises(WorkerFailure) as info:
+            run_parallel(
+                Study(_config()), workers=2, start_method="fork", policy=FAST_STALLS
+            )
+        assert time.monotonic() - started < 5.0
+        assert info.value.worker_id == 0
+        assert info.value.exit_code == -9
 
 
 class TestObservability:
