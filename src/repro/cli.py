@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve-bench",
-        help="load-test the serving gateway: throughput, cache, admission",
+        help="load-test the gateway fleet: throughput, cache, admission",
     )
     serve.add_argument("--seed", type=int, default=DEFAULT_STUDY_SEED)
     serve.add_argument("--requests", type=int, default=2000)
@@ -271,27 +271,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         default=None,
         metavar="PATH",
-        help="write a JSONL trace of the served requests",
+        help="write a JSONL trace of the timed cells' fleet.request spans",
     )
     serve.add_argument(
         "--gateways",
-        type=int,
-        default=0,
-        help="fleet mode: sweep 1..N consistent-hash gateways instead of "
-        "the single-gateway path (0 keeps the legacy bench)",
+        type=_positive_int,
+        default=1,
+        help="largest fleet size N: the sweep times a 1-gateway fleet, "
+        "then an N-gateway consistent-hash fleet when N > 1",
     )
     serve.add_argument(
         "--replication",
         type=int,
         default=2,
-        help="shard replication factor R in fleet mode",
+        help="shard replication factor R (clamped to the fleet size)",
     )
     serve.add_argument(
         "--out",
         default=None,
         metavar="PATH",
-        help="append a trajectory-v1 entry (e.g. BENCH_serve.json); "
-        "implies fleet mode",
+        help="append a trajectory-v1 entry (e.g. BENCH_serve.json)",
     )
     serve.add_argument(
         "--fail-on-regress",
@@ -299,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PCT",
         help="exit 1 if single-gateway throughput regresses more than PCT%% "
-        "against the trajectory baseline (implies fleet mode)",
+        "against the trajectory baseline",
     )
 
     chaos_serve = sub.add_parser(
@@ -672,6 +671,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit", type=int, default=None, help="print at most N events"
     )
     return parser
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _config_for_scale(scale: str, seed: int, days: Optional[int]) -> StudyConfig:
@@ -1051,53 +1058,17 @@ def _cmd_reportcard(args) -> int:
 
 
 def _cmd_serve_bench(args) -> int:
-    fleet_mode = (
-        args.gateways > 0
-        or args.out is not None
-        or args.fail_on_regress is not None
+    from repro.serve.bench import (
+        load_trajectory,
+        run_serve_bench,
+        serve_regression_message,
     )
-    if fleet_mode:
-        return _serve_bench_fleet(args)
-    from repro.engine.datacenters import DatacenterCluster
-    from repro.net.geoip import GeoIPDatabase
-    from repro.queries.corpus import build_corpus
-    from repro.seeding import derive_seed
-    from repro.serve import (
-        ClientPopulation,
-        Gateway,
-        LoadGenerator,
-        build_replicas,
-        run_load,
-    )
-    from repro.web.world import WebWorld
 
-    corpus = build_corpus()
-    world = WebWorld(derive_seed(args.seed, "world"))
-    cluster = DatacenterCluster()
-    geoip = GeoIPDatabase()
-    population = ClientPopulation.generate(
-        args.seed, args.clients, cluster, pin_frontend=args.pin_frontend
-    )
-    population.register(geoip)
-    replicas = build_replicas(
-        world,
-        cluster,
-        geoip,
-        corpus=corpus,
-        seed=derive_seed(args.seed, "engine"),
-        queue_capacity=args.queue_capacity,
-    )
-    gateway = Gateway(
-        replicas,
-        geoip,
-        policy=args.routing,
-        cache_size=args.cache_size,
-        hedge_after_minutes=args.hedge_after,
-    )
-    loadgen = LoadGenerator(
-        list(corpus), population, args.seed, rate_per_minute=args.rate
-    )
-    builder = None
+    sizes = sorted({1, args.gateways})
+    history = []
+    if args.fail_on_regress is not None and args.out:
+        history = load_trajectory(args.out)
+    tracer = builder = None
     if args.trace:
         from repro.obs.exporters import TraceBuilder
         from repro.obs.trace import Tracer, trace_id_for
@@ -1109,40 +1080,14 @@ def _cmd_serve_bench(args) -> int:
             "clients": args.clients,
             "routing": args.routing,
             "cache_size": args.cache_size,
+            "gateways": sizes,
         }
         trace_id = trace_id_for(bench_meta)
-        gateway.tracer = Tracer()
-        gateway.tracer.enable(trace_id)
+        tracer = Tracer()
+        tracer.enable(trace_id)
         builder = TraceBuilder(args.trace, trace_id=trace_id, meta=bench_meta)
     print(
-        f"serve-bench: {args.requests} requests, {args.clients} clients, "
-        f"{len(replicas)} replicas, routing={args.routing}, "
-        f"cache={args.cache_size}",
-        file=sys.stderr,
-    )
-    print(run_load(gateway, loadgen, args.requests).render())
-    if builder is not None:
-        builder.add_trees(gateway.tracer.drain())
-        builder.close()
-        gateway.tracer.disable()
-        print(f"trace -> {args.trace}", file=sys.stderr)
-    return 0
-
-
-def _serve_bench_fleet(args) -> int:
-    """Fleet-mode serve bench: sweep sizes, trajectory, regression gate."""
-    from repro.serve.bench import (
-        load_trajectory,
-        run_serve_bench,
-        serve_regression_message,
-    )
-
-    sizes = (1,) if args.gateways <= 1 else (1, args.gateways)
-    history = []
-    if args.fail_on_regress is not None and args.out:
-        history = load_trajectory(args.out)
-    print(
-        f"serve-bench (fleet): sizes={list(sizes)} R={args.replication}, "
+        f"serve-bench: sizes={sizes} R={args.replication}, "
         f"{args.requests} requests over {args.clients} lazy clients",
         file=sys.stderr,
     )
@@ -1155,10 +1100,18 @@ def _serve_bench_fleet(args) -> int:
         routing=args.routing,
         cache_size=args.cache_size,
         queue_capacity=args.queue_capacity,
+        hedge_after_minutes=args.hedge_after,
+        pin_frontend=args.pin_frontend,
         seed=args.seed,
+        tracer=tracer,
         out=args.out,
     )
     print(report.render())
+    if builder is not None:
+        builder.add_trees(tracer.drain())
+        builder.close()
+        tracer.disable()
+        print(f"trace -> {args.trace}", file=sys.stderr)
     if args.out:
         print(f"trajectory -> {args.out}", file=sys.stderr)
     if args.fail_on_regress is not None:
@@ -1225,21 +1178,23 @@ def _cmd_chaos_serve(args) -> int:
         f"over {args.clients} lazy clients ...",
         file=sys.stderr,
     )
-    report = ServeChaos(fleet, loadgen).run(requests, events=args.events)
-    print(report.render())
+    stats = ServeChaos(fleet, loadgen).run(requests, events=args.events)
+    print(stats.render())
     if args.events:
         print(f"events -> {args.events}", file=sys.stderr)
     if args.ledger:
         import json
 
+        ledger = stats.capture_state()
+        ledger["unaccounted"] = stats.unaccounted()
         with open(args.ledger, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
+            json.dump(ledger, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"ledger -> {args.ledger}", file=sys.stderr)
-    if report.unaccounted() != 0:
+    if stats.unaccounted() != 0:
         print(
-            f"ACCOUNTING VIOLATION: {report.unaccounted()} of "
-            f"{report.offered} requests unaccounted for",
+            f"ACCOUNTING VIOLATION: {stats.unaccounted()} of "
+            f"{stats.requests} requests unaccounted for",
             file=sys.stderr,
         )
         return 1

@@ -37,9 +37,6 @@ Streams
     backfills.  Serve events carry the exact window-accounting marks
     (``counted``) the brownout controller used, so the SLO engine can
     reproduce its bad-fraction arithmetic without duplicating it.
-``gateway``
-    One event per request through a bare :class:`~repro.serve.gateway.
-    Gateway` (single-gateway serving, outside a fleet).
 ``audit``
     One event per completed audit cycle, carrying the cycle's drift
     alerts — the SLO ledger folds these in verbatim.

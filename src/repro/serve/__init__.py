@@ -1,12 +1,19 @@
 """The production-style search-serving layer.
 
 Everything the single-process crawl bypasses when it calls
-``SearchEngine.handle()`` directly: a :class:`Gateway` fronting one
-engine replica per datacenter, with pluggable routing policies
-(round-robin / least-outstanding / geo-affinity), a deterministic SERP
-cache (LRU + virtual-day TTL, keyed on the geo-ranker's snap cell),
-bounded per-replica admission queues with retry and hedging, and a
-seeded load generator for throughput measurement.
+``SearchEngine.handle()`` directly.  The front door is a
+:class:`GatewayFleet`: a consistent-hash front tier over N
+:class:`Gateway` shards (one shard is the single-gateway case), with a
+degradation ladder and a fresh / stale / shed / failed outcome
+partition in :class:`FleetStats`.  Each shard gateway fronts one engine
+replica per datacenter, with pluggable routing policies (round-robin /
+least-outstanding / geo-affinity), a deterministic SERP cache (LRU +
+virtual-day TTL, keyed on the geo-ranker's snap cell), and bounded
+per-replica admission queues with retry and hedging.  A bare
+:class:`Gateway` is also the study crawl's checkpointable parity
+surface (``route_via_gateway``).  A seeded, lazy load generator drives
+the fleet for throughput measurement (:func:`run_serve_bench`) and
+chaos audits (:class:`ServeChaos`).
 
 See ``docs/SERVING.md`` for the architecture and
 ``benchmarks/bench_serve.py`` for the numbers.
@@ -20,7 +27,7 @@ from repro.serve.bench import (
     serve_regression_message,
 )
 from repro.serve.cache import CacheKey, SerpCache
-from repro.serve.chaos import ServeChaos, ServeChaosReport
+from repro.serve.chaos import ServeChaos
 from repro.serve.fleet import (
     BrownoutPolicy,
     FleetShard,
@@ -32,7 +39,6 @@ from repro.serve.fleet import (
 )
 from repro.serve.gateway import Gateway, GatewayResult, Replica, build_replicas
 from repro.serve.loadgen import (
-    ClientPopulation,
     LazyClientGeoIP,
     LazyClientPopulation,
     LoadGenerator,
@@ -49,7 +55,7 @@ from repro.serve.routing import (
     RoutingPolicy,
     make_policy,
 )
-from repro.serve.stats import FleetStats, GatewayStats, LatencyAccumulator
+from repro.serve.stats import FleetStats, GatewayStats
 
 __all__ = [
     "DEFAULT_SERVICE_MINUTES",
@@ -69,12 +75,10 @@ __all__ = [
     "build_fleet_registry",
     "shard_key_of",
     "ServeChaos",
-    "ServeChaosReport",
     "ServeBenchCell",
     "ServeBenchReport",
     "run_serve_bench",
     "serve_regression_message",
-    "ClientPopulation",
     "LazyClientGeoIP",
     "LazyClientPopulation",
     "LoadGenerator",
@@ -90,5 +94,4 @@ __all__ = [
     "make_policy",
     "FleetStats",
     "GatewayStats",
-    "LatencyAccumulator",
 ]

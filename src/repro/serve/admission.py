@@ -66,13 +66,6 @@ class ReplicaQueue:
         self._prune(now_minutes)
         return len(self._completions)
 
-    def projected_wait(self, now_minutes: float) -> float:
-        """How long a request arriving now would queue before service."""
-        self._prune(now_minutes)
-        if not self._completions:
-            return 0.0
-        return self._completions[-1] - now_minutes
-
     def try_admit(self, now_minutes: float) -> Optional[QueueSlot]:
         """Admit one request, or ``None`` when the queue is full."""
         self._prune(now_minutes)

@@ -11,22 +11,28 @@ single-gateway throughput against the latest comparable entry.
 The sweep itself builds a fresh :class:`~repro.serve.fleet.
 GatewayFleet` per cell over one shared world (engines share a ranker,
 so cell cost is serving state, not index construction), drives the
-same lazy-population load stream through each, and records the outcome
-partition — with ``degraded`` counted apart from ``ok``, never folded
-into successes.
+same lazy-population load stream through each, and records the fleet's
+fresh / stale / shed / failed partition — stale pages counted apart
+from fresh ones, never folded into successes.  One shard is the
+single-gateway case.
+
+Every timed cell starts from the same warm state: untimed passes of the
+cell's own configuration run until one adds no ranker-memo misses, so
+the first cell is not timed cold while later ones reuse its warm memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.serve.fleet import build_fleet
+from repro.serve.fleet import GatewayFleet, build_fleet
 from repro.serve.loadgen import (
     LazyClientPopulation,
     LoadGenerator,
     run_load,
 )
+from repro.serve.stats import GatewayStats
 
 __all__ = [
     "ServeBenchCell",
@@ -47,6 +53,13 @@ def load_trajectory(path):
 
 DEFAULT_FLEET_SIZES: Sequence[int] = (1, 2)
 
+#: Report fields that fix a load shape: only a history entry matching
+#: on all of them is a comparable baseline for the regression gate.
+_LOAD_SHAPE = (
+    "seed", "clients", "requests", "rate_per_minute", "routing",
+    "cache_size", "replication", "hedge_after_minutes", "pin_frontend",
+)
+
 
 @dataclass
 class ServeBenchCell:
@@ -57,13 +70,19 @@ class ServeBenchCell:
     requests: int
     wall_seconds: float
     requests_per_second: float
-    ok: int
-    degraded: int
-    rate_limited: int
-    overloaded: int
+    served_fresh: int
+    served_stale: int
+    shed: int
+    failed: int
     cache_hit_rate: float
+    hedges: int
     rerouted: int
     hot_promotions: int
+    memo_misses: int
+    """Ranker-memo misses the timed pass added: equal across cells when
+    every cell was timed in the same warm state."""
+    replica_requests: Dict[str, int] = field(default_factory=dict)
+    """Requests each datacenter replica served, summed over shards."""
 
 
 @dataclass
@@ -78,6 +97,8 @@ class ServeBenchReport:
     routing: str = "round-robin"
     cache_size: int = 0
     replication: int = 1
+    hedge_after_minutes: Optional[float] = None
+    pin_frontend: bool = False
     cells: List[ServeBenchCell] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -104,19 +125,26 @@ class ServeBenchReport:
             f"serve bench: {self.requests} requests, {self.clients} "
             f"clients (lazy), rate={self.rate_per_minute}/min, "
             f"routing={self.routing}, cache={self.cache_size}, "
-            f"R={self.replication}",
-            f"{'gateways':>8} {'wall s':>8} {'req/s':>9} {'ok':>6} "
-            f"{'degr':>5} {'rl':>5} {'shed':>5} {'hit-rate':>9} "
-            f"{'reroute':>8}",
+            f"R={self.replication}, hedge-after={self.hedge_after_minutes}, "
+            f"pinned-dns={self.pin_frontend}",
+            f"{'gateways':>8} {'wall s':>8} {'req/s':>9} {'fresh':>6} "
+            f"{'stale':>6} {'shed':>5} {'failed':>6} {'hit-rate':>9} "
+            f"{'hedges':>7} {'reroute':>8}",
         ]
         for cell in self.cells:
             lines.append(
                 f"{cell.gateways:>8} {cell.wall_seconds:>8.2f} "
-                f"{cell.requests_per_second:>9.1f} {cell.ok:>6} "
-                f"{cell.degraded:>5} {cell.rate_limited:>5} "
-                f"{cell.overloaded:>5} {cell.cache_hit_rate:>8.1%} "
+                f"{cell.requests_per_second:>9.1f} {cell.served_fresh:>6} "
+                f"{cell.served_stale:>6} {cell.shed:>5} {cell.failed:>6} "
+                f"{cell.cache_hit_rate:>8.1%} {cell.hedges:>7} "
                 f"{cell.rerouted:>8}"
             )
+        for cell in self.cells:
+            share = ", ".join(
+                f"{name}={count}"
+                for name, count in sorted(cell.replica_requests.items())
+            )
+            lines.append(f"per-replica (gateways={cell.gateways}): {share}")
         return "\n".join(lines)
 
 
@@ -130,19 +158,23 @@ def run_serve_bench(
     routing: str = "round-robin",
     cache_size: int = 4096,
     queue_capacity: int = 32,
+    hedge_after_minutes: Optional[float] = None,
+    pin_frontend: bool = False,
     seed: int = 0,
+    tracer=None,
     out=None,
 ) -> ServeBenchReport:
     """Sweep fleet sizes over one load; append to the trajectory.
 
     The client population is lazy — ``clients`` can be a million
-    without materialising anyone — and each cell gets a fresh fleet
-    (fresh caches and queues) while the world, corpus, and ranking
-    memos are shared across cells.
+    without materialising anyone — and each timed cell gets a fresh
+    fleet (fresh caches and queues) while the world, corpus, and one
+    ranking memo are shared by every engine of every cell.  ``tracer``,
+    when given, records the timed cells' ``fleet.request`` spans.
     """
-    import time
-
+    from repro.engine.calibration import EngineCalibration
     from repro.engine.datacenters import DatacenterCluster
+    from repro.engine.ranking import Ranker
     from repro.queries.corpus import build_corpus
     from repro.seeding import derive_seed
     from repro.web.world import WebWorld
@@ -150,8 +182,12 @@ def run_serve_bench(
     corpus = build_corpus()
     world = WebWorld(derive_seed(seed, "world"))
     cluster = DatacenterCluster()
-    population = LazyClientPopulation(seed, clients, cluster)
+    population = LazyClientPopulation(
+        seed, clients, cluster, pin_frontend=pin_frontend
+    )
     geoip = population.geoip_view()
+    engine_seed = derive_seed(seed, "engine")
+    ranker = Ranker(world, EngineCalibration(), engine_seed)
     report = ServeBenchReport(
         seed=seed,
         clients=clients,
@@ -160,50 +196,71 @@ def run_serve_bench(
         routing=routing,
         cache_size=cache_size,
         replication=replication,
+        hedge_after_minutes=hedge_after_minutes,
+        pin_frontend=pin_frontend,
     )
-    shared_ranker = None
-    for size in fleet_sizes:
-        fleet = build_fleet(
+
+    def build(size: int) -> GatewayFleet:
+        return build_fleet(
             world,
             cluster,
             geoip,
             count=size,
             corpus=corpus,
-            seed=derive_seed(seed, "engine"),
+            seed=engine_seed,
             queue_capacity=queue_capacity,
             cache_size=cache_size,
             policy=routing,
+            hedge_after_minutes=hedge_after_minutes,
             replication=replication,
-            ranker=shared_ranker,
+            ranker=ranker,
         )
-        if shared_ranker is None:
-            first = next(iter(fleet.shards.values()))
-            shared_ranker = first.gateway.replicas[0].engine.ranker
-        loadgen = LoadGenerator(
+
+    def loadgen() -> LoadGenerator:
+        return LoadGenerator(
             list(corpus), population, seed, rate_per_minute=rate_per_minute
         )
-        started = time.perf_counter()
-        load = run_load(fleet, loadgen, requests)
-        wall = time.perf_counter() - started
-        shard_stats = [
-            shard.gateway.stats for shard in fleet.shards.values()
-        ]
-        lookups = sum(s.cache_lookups for s in shard_stats)
-        hits = sum(s.cache_hits for s in shard_stats)
+
+    def memo_misses() -> int:
+        return ranker.cache_info()["misses"]
+
+    for size in fleet_sizes:
+        # Untimed passes until one adds no memo misses.  A load with
+        # more distinct pages than the memo caps hold never gets
+        # there, so also stop once a pass misses no less than the last.
+        previous = None
+        while True:
+            before = memo_misses()
+            run_load(build(size), loadgen(), requests)
+            added = memo_misses() - before
+            if added == 0 or (previous is not None and added >= previous):
+                break
+            previous = added
+        fleet = build(size)
+        if tracer is not None:
+            fleet.tracer = tracer
+        before = memo_misses()
+        load = run_load(fleet, loadgen(), requests)
+        gateway_stats = GatewayStats()
+        for shard in fleet.shards.values():
+            gateway_stats.merge(shard.gateway.stats)
         report.cells.append(
             ServeBenchCell(
                 gateways=size,
-                replication=min(replication, size),
+                replication=fleet.replication,
                 requests=requests,
-                wall_seconds=wall,
-                requests_per_second=requests / wall if wall > 0 else 0.0,
-                ok=load.ok,
-                degraded=load.degraded,
-                rate_limited=load.rate_limited,
-                overloaded=load.overloaded,
-                cache_hit_rate=hits / lookups if lookups else 0.0,
+                wall_seconds=load.wall_seconds,
+                requests_per_second=load.requests_per_second,
+                served_fresh=load.served_fresh,
+                served_stale=load.served_stale,
+                shed=load.shed,
+                failed=load.failed,
+                cache_hit_rate=gateway_stats.hit_rate,
+                hedges=gateway_stats.hedges,
                 rerouted=fleet.stats.rerouted,
                 hot_promotions=fleet.stats.hot_promotions,
+                memo_misses=memo_misses() - before,
+                replica_requests=dict(gateway_stats.replica_requests),
             )
         )
     if out is not None:
@@ -226,15 +283,8 @@ def serve_regression_message(
     """
     baseline = None
     for entry in reversed(list(history)):
-        if (
-            entry.get("seed") == report.seed
-            and entry.get("clients") == report.clients
-            and entry.get("requests") == report.requests
-            and entry.get("rate_per_minute") == report.rate_per_minute
-            and entry.get("routing") == report.routing
-            and entry.get("cache_size") == report.cache_size
-            and entry.get("replication") == report.replication
-            and entry.get("cells")
+        if entry.get("cells") and all(
+            entry.get(name) == getattr(report, name) for name in _LOAD_SHAPE
         ):
             baseline = entry
             break

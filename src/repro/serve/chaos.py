@@ -8,126 +8,41 @@ GatewayFleet` whose :class:`~repro.faults.plan.FaultPlan` serve gates
 crash shards, black out replicas, wipe and slow caches, and partition
 the front tier — then checks the fleet's outcome partition:
 
-    served fresh + served stale + shed + failed == offered
+    served fresh + served stale + shed + failed == requests
 
 Nothing may vanish, nothing may double-count, no matter which faults
 fired or how the degradation ladder rerouted around them.  The ledger
-the harness returns is JSON-able (the CI artifact) and renders
-human-readably; :meth:`ServeChaosReport.unaccounted` is the exit-code
+is the fleet's own :class:`~repro.serve.stats.FleetStats` — its
+snapshot is the JSON CI artifact, and
+:meth:`~repro.serve.stats.FleetStats.unaccounted` is the exit-code
 signal the ``repro chaos-serve`` command gates on.
 
 Determinism: the fault schedule keys on request nonces and the load
-stream on the seed, so two runs of one configuration produce identical
-ledgers — byte-for-byte — which the chaos tests pin.
+stream on the seed, and the ledger holds no wall-clock value, so two
+runs of one configuration produce identical ledgers — byte-for-byte —
+which the chaos tests pin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.obs.telemetry import format_kv_rows
 from repro.serve.fleet import GatewayFleet
-from repro.serve.loadgen import LoadGenerator, LoadReport, run_load
+from repro.serve.loadgen import LoadGenerator, run_load
+from repro.serve.stats import FleetStats
 
-__all__ = ["ServeChaos", "ServeChaosReport"]
-
-
-@dataclass
-class ServeChaosReport:
-    """One chaos run's ledger: outcomes, ladder activity, injections."""
-
-    offered: int
-    served_fresh: int
-    served_stale: int
-    shed: int
-    failed: int
-    rerouted: int
-    fleet_stale_served: int
-    backfills: int
-    backfilled_entries: int
-    hot_promotions: int
-    brownout_entries: int
-    brownout_shed: int
-    wall_seconds: float
-    faults_injected: Dict[str, int] = field(default_factory=dict)
-    shard_requests: Dict[str, int] = field(default_factory=dict)
-
-    def unaccounted(self) -> int:
-        """Offered requests missing from the outcome partition.
-
-        Zero is the invariant; positive means requests vanished,
-        negative means something double-counted.  Either is a bug.
-        """
-        return self.offered - (
-            self.served_fresh + self.served_stale + self.shed + self.failed
-        )
-
-    def to_dict(self) -> dict:
-        from dataclasses import asdict
-
-        raw = asdict(self)
-        raw["unaccounted"] = self.unaccounted()
-        return raw
-
-    def render(self) -> str:
-        rows = [
-            (
-                "outcomes",
-                f"fresh={self.served_fresh} "
-                f"stale={self.served_stale} shed={self.shed} "
-                f"failed={self.failed}",
-            ),
-            (
-                "accounting",
-                f"unaccounted={self.unaccounted()} "
-                f"({'OK' if self.unaccounted() == 0 else 'VIOLATION'})",
-            ),
-            (
-                "ladder",
-                f"rerouted={self.rerouted} "
-                f"fleet-stale={self.fleet_stale_served} "
-                f"backfills={self.backfills} "
-                f"backfilled-entries={self.backfilled_entries}",
-            ),
-            (
-                "brownout",
-                f"entries={self.brownout_entries} "
-                f"shed={self.brownout_shed}",
-            ),
-        ]
-        if self.faults_injected:
-            kinds = ", ".join(
-                f"{kind}={count}"
-                for kind, count in sorted(self.faults_injected.items())
-            )
-            rows.append(("faults injected", kinds))
-        else:
-            rows.append(("faults injected", "(none)"))
-        if self.shard_requests:
-            share = ", ".join(
-                f"{name}={count}"
-                for name, count in sorted(self.shard_requests.items())
-            )
-            rows.append(("per-shard", share))
-        title = (
-            f"serve-chaos ledger: {self.offered} offered in "
-            f"{self.wall_seconds:.2f}s wall"
-        )
-        return "\n".join([title] + format_kv_rows(rows))
+__all__ = ["ServeChaos"]
 
 
 class ServeChaos:
-    """Drive chaos load through a fleet and build the audit ledger."""
+    """Drive chaos load through a fleet; its stats are the audit ledger."""
 
     def __init__(self, fleet: GatewayFleet, loadgen: LoadGenerator):
         self.fleet = fleet
         self.loadgen = loadgen
 
-    def run(
-        self, count: int, *, events: Optional[str] = None
-    ) -> ServeChaosReport:
-        """Serve ``count`` requests; return the accounting ledger.
+    def run(self, count: int, *, events: Optional[str] = None) -> FleetStats:
+        """Serve ``count`` requests; return the fleet's counters.
 
         With ``events``, the fleet journals one wide event per request
         (``serve`` stream) plus its control transitions
@@ -136,8 +51,8 @@ class ServeChaos:
         repeated configuration writes identical bytes.
         """
         if events is None:
-            load = run_load(self.fleet, self.loadgen, count)
-            return self.report(load)
+            run_load(self.fleet, self.loadgen, count)
+            return self.fleet.stats
         from repro.obs.events import EventLog, EventRecorder, NULL_RECORDER
         from repro.obs.trace import format_id
         from repro.seeding import stable_hash
@@ -153,30 +68,9 @@ class ServeChaos:
         recorder.attach(log)
         self.fleet.events = recorder
         try:
-            load = run_load(self.fleet, self.loadgen, count)
+            run_load(self.fleet, self.loadgen, count)
         finally:
             self.fleet.events = NULL_RECORDER
             recorder.detach()
             log.close()
-        return self.report(load)
-
-    def report(self, load: LoadReport) -> ServeChaosReport:
-        """Fold the fleet's counters into a ledger for one run."""
-        stats = self.fleet.stats
-        return ServeChaosReport(
-            offered=stats.requests,
-            served_fresh=stats.served_fresh,
-            served_stale=stats.served_stale,
-            shed=stats.shed,
-            failed=stats.failed,
-            rerouted=stats.rerouted,
-            fleet_stale_served=stats.fleet_stale_served,
-            backfills=stats.backfills,
-            backfilled_entries=stats.backfilled_entries,
-            hot_promotions=stats.hot_promotions,
-            brownout_entries=stats.brownout_entries,
-            brownout_shed=stats.brownout_shed,
-            wall_seconds=load.wall_seconds,
-            faults_injected=dict(stats.faults_injected),
-            shard_requests=dict(stats.shard_requests),
-        )
+        return self.fleet.stats

@@ -66,7 +66,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.request import ResponseStatus, SearchResponse
+from repro.engine.request import SearchResponse
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.obs.events import NULL_RECORDER
 from repro.obs.metrics import MetricsRegistry
@@ -75,12 +75,7 @@ from repro.obs.trace import NULL_TRACER
 from repro.seeding import stable_hash, stable_unit
 from repro.serve.admission import DEFAULT_SERVICE_MINUTES
 from repro.serve.cache import CacheKey
-from repro.serve.gateway import (
-    Gateway,
-    GatewayResult,
-    _OVERLOAD_HTML,
-    build_replicas,
-)
+from repro.serve.gateway import Gateway, GatewayResult, build_replicas
 from repro.serve.stats import FleetStats
 
 __all__ = [
@@ -333,8 +328,8 @@ class GatewayFleet:
             if tracing:
                 self._tracer.event("fleet.brownout.shed", at=now)
             return self._finish(
-                self._overloaded_result(), "shed", "front-tier", now, tracing,
-                request=request, rung="brownout-shed", fault=fault,
+                request, GatewayResult.shed(), "front-tier", "brownout-shed",
+                fault, tracing,
             )
 
         candidates = (
@@ -357,12 +352,13 @@ class GatewayFleet:
                 first_tried = name
             elif tracing:
                 self._tracer.event("fleet.reroute", at=now, to=name)
-            result = shard.gateway.submit(request)
-            if result.degraded:
+            result = shard.gateway.submit(request, key=key)
+            outcome = result.outcome
+            if outcome == "served_stale":
                 if stale_fallback is None:
                     stale_fallback = (name, result)
                 continue
-            if result.response.status is ResponseStatus.OVERLOADED:
+            if outcome == "shed":
                 shed_fallback = (name, result)
                 continue
             served = (name, result)
@@ -380,12 +376,8 @@ class GatewayFleet:
                 self.stats.hot_requests += 1
             elif name != primary:
                 self.stats.rerouted += 1
-            outcome = self._classify(result)
             rung = "hot" if hot else ("reroute" if name != primary else "primary")
-            return self._finish(
-                result, outcome, name, now, tracing,
-                request=request, rung=rung, fault=fault,
-            )
+            return self._finish(request, result, name, rung, fault, tracing)
 
         # Every candidate dark — the fleet-level stale rung: any live
         # peer may hold yesterday's page for this key.
@@ -399,29 +391,19 @@ class GatewayFleet:
                 self.stats.fleet_stale_served += 1
                 if tracing:
                     self._tracer.event("fleet.stale", at=now, shard=name)
-                result = GatewayResult(
-                    response=SearchResponse(
-                        status=stale.status,
-                        html=stale.html,
-                        degraded=True,
-                    ),
-                    served_by=f"{name}:stale-fleet",
-                    cache_hit=False,
-                    wait_minutes=0.0,
-                    latency_minutes=0.0,
-                    attempts=0,
-                    hedged=False,
-                    degraded=True,
-                )
                 return self._finish(
-                    result, "served_stale", name, now, tracing,
-                    request=request, rung="fleet-stale", fault=fault,
+                    request,
+                    GatewayResult.stale(stale, f"{name}:stale-fleet"),
+                    name,
+                    "fleet-stale",
+                    fault,
+                    tracing,
                 )
         if tracing:
             self._tracer.event("fleet.shed", at=now, reason="owners-dark")
         return self._finish(
-            self._overloaded_result(), "shed", "front-tier", now, tracing,
-            request=request, rung="owners-dark", fault=fault,
+            request, GatewayResult.shed(), "front-tier", "owners-dark",
+            fault, tracing,
         )
 
     def handle(self, request) -> SearchResponse:
@@ -433,22 +415,16 @@ class GatewayFleet:
     def _route(self, request) -> Tuple[Optional[CacheKey], List[str], bool]:
         """The request's cache key, owner order, and hot-set flag.
 
-        Session-carrying requests are uncacheable; they pin to a shard
-        by session hash so one shard sees one session's whole stream.
+        Shards share one keying (geoip, cell size, dialect), so the
+        first shard's gateway keys the request for all of them and the
+        serving shard reuses that key.  Session-carrying requests are
+        uncacheable; they pin to a shard by session hash so one shard
+        sees one session's whole stream.
         """
         if request.cookie_id is not None:
             key_hash = stable_hash("fleet-session", request.cookie_id)
             return None, self.ring.owners(key_hash, self.replication), False
-        keyer = next(iter(self._shards.values())).gateway
-        location = keyer._resolve_location(request)
-        key = keyer.cache.key_for(
-            keyer.dialect.name,
-            request.query_text,
-            location,
-            request.day,
-            page=request.page,
-            datacenter=keyer.cluster.by_ip(request.frontend_ip).name,
-        )
+        key = next(iter(self._shards.values())).gateway.cache_key(request)
         skey = shard_key_of(key)
         owners = self.ring.owners(HashRing.hash_key(skey), self.replication)
         return key, owners, self._note_access(skey, request.timestamp_minutes)
@@ -685,29 +661,19 @@ class GatewayFleet:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def _classify(self, result: GatewayResult) -> str:
-        if result.degraded:
-            return "served_stale"
-        if result.response.ok:
-            return "served_fresh"
-        if result.response.status is ResponseStatus.OVERLOADED:
-            return "shed"
-        return "failed"
-
     def _finish(
         self,
+        request,
         result: GatewayResult,
-        outcome: str,
         shard_name: str,
-        now: float,
+        rung: str,
+        fault: Optional[str],
         tracing: bool,
-        *,
-        request=None,
-        rung: Optional[str] = None,
-        fault: Optional[str] = None,
     ) -> GatewayResult:
         """One exit for every path: outcome partition, SLO window, span,
         and the request's wide event."""
+        outcome = result.outcome
+        now = request.timestamp_minutes
         self.stats.record_outcome(outcome)
         self.stats.record_shard_outcome(shard_name, outcome)
         counted = False
@@ -720,7 +686,7 @@ class GatewayFleet:
                 self._window.append((now, bad))
                 if bad:
                     self._window_bad += 1
-        if self.events.enabled and request is not None:
+        if self.events.enabled:
             if result.cache_hit:
                 cache = "hit"
             elif request.cookie_id is not None:
@@ -755,20 +721,6 @@ class GatewayFleet:
         if tracing:
             self._tracer.end(outcome=outcome, shard=shard_name)
         return result
-
-    @staticmethod
-    def _overloaded_result() -> GatewayResult:
-        return GatewayResult(
-            response=SearchResponse(
-                status=ResponseStatus.OVERLOADED, html=_OVERLOAD_HTML
-            ),
-            served_by="shed",
-            cache_hit=False,
-            wait_minutes=0.0,
-            latency_minutes=0.0,
-            attempts=0,
-            hedged=False,
-        )
 
 
 def build_fleet(

@@ -1,5 +1,10 @@
 """The serving gateway: replica routing, SERP cache, admission control.
 
+A :class:`Gateway` serves in two roles: as one shard behind a
+:class:`~repro.serve.fleet.GatewayFleet` (the front door every serving
+driver uses; a one-shard fleet is the single-gateway case), and as the
+study crawl's checkpointable parity surface (``route_via_gateway``).
+
 Topology
 --------
 One :class:`Replica` per datacenter in the cluster, each wrapping its
@@ -48,12 +53,11 @@ from repro.faults.breaker import BreakerBoard
 from repro.faults.retry import DEFAULT_RETRY_CAP_MINUTES, RetryPolicy
 from repro.geo.coords import LatLon
 from repro.net.geoip import GeoIPDatabase
-from repro.obs.events import NULL_RECORDER
 from repro.obs.trace import NULL_TRACER
 from repro.queries.corpus import QueryCorpus
 from repro.seeding import stable_hash
 from repro.serve.admission import DEFAULT_SERVICE_MINUTES, ReplicaQueue
-from repro.serve.cache import SerpCache
+from repro.serve.cache import CacheKey, SerpCache
 from repro.serve.routing import RoutingPolicy, make_policy
 from repro.serve.stats import GatewayStats
 from repro.web.world import WebWorld
@@ -123,14 +127,62 @@ class GatewayResult:
     response: SearchResponse
     served_by: str
     """Replica name, or ``"cache"`` / ``"stale-cache"`` / ``"shed"``."""
-    cache_hit: bool
-    wait_minutes: float
-    latency_minutes: float
-    attempts: int
-    hedged: bool
+    cache_hit: bool = False
+    wait_minutes: float = 0.0
+    latency_minutes: float = 0.0
+    attempts: int = 0
+    hedged: bool = False
     degraded: bool = False
     """Served from the stale cache because no replica could take the
     request (the DEGRADED flag; also set on ``response.degraded``)."""
+
+    @property
+    def outcome(self) -> str:
+        """The request's place in the serving outcome partition.
+
+        ``served_stale`` (a DEGRADED page), ``served_fresh`` (any other
+        OK page), ``shed`` (OVERLOADED) or ``failed`` (every other
+        status) — the one classifier behind
+        :class:`~repro.serve.stats.FleetStats`, its reports and the
+        ``serve`` wide events.
+        """
+        if self.degraded:
+            return "served_stale"
+        if self.response.ok:
+            return "served_fresh"
+        if self.response.status is ResponseStatus.OVERLOADED:
+            return "shed"
+        return "failed"
+
+    @classmethod
+    def shed(cls, *, attempts: int = 0, hedged: bool = False) -> "GatewayResult":
+        """The OVERLOADED answer for a request nothing could take."""
+        return cls(
+            response=SearchResponse(
+                status=ResponseStatus.OVERLOADED, html=_OVERLOAD_HTML
+            ),
+            served_by="shed",
+            attempts=attempts,
+            hedged=hedged,
+        )
+
+    @classmethod
+    def stale(
+        cls,
+        page: SearchResponse,
+        served_by: str,
+        *,
+        attempts: int = 0,
+        hedged: bool = False,
+    ) -> "GatewayResult":
+        """A stale-store ``page`` served with the DEGRADED flag."""
+        return cls(
+            response=replace(page, degraded=True),
+            served_by=served_by,
+            attempts=attempts,
+            hedged=hedged,
+            degraded=True,
+        )
 
 
 _OVERLOAD_HTML = (
@@ -221,9 +273,6 @@ class Gateway:
         # is not canonical, so crawl traces reconstruct gateway spans
         # at merge time via repro.obs.replay instead.
         self.tracer = NULL_TRACER
-        # Wide-event recorder for the bare-gateway ``gateway`` stream;
-        # fleets leave this detached (the front tier emits instead).
-        self.events = NULL_RECORDER
 
     # -- SearchEngine-compatible surface --------------------------------------
 
@@ -237,10 +286,17 @@ class Gateway:
 
     # -- full gateway surface ----------------------------------------------------
 
-    def submit(self, request: SearchRequest) -> GatewayResult:
-        """Serve one request, returning response plus serving telemetry."""
+    def submit(
+        self, request: SearchRequest, *, key: Optional[CacheKey] = None
+    ) -> GatewayResult:
+        """Serve one request, returning response plus serving telemetry.
+
+        ``key`` is the request's :meth:`cache_key` when the caller has
+        already built it — the fleet's front tier shards on it — so a
+        request is keyed once.  It is ignored when the request is not
+        cacheable here.
+        """
         self.stats.requests += 1
-        location = self._resolve_location(request)
         now = request.timestamp_minutes
         tracing = self.tracer.enabled
         if tracing:
@@ -249,93 +305,57 @@ class Gateway:
             )
 
         dispatch_request = request
-        key = None
-        if self.cache.capacity > 0:
-            if request.cookie_id is not None:
-                # Session state personalises the page; never cache it.
-                self.stats.cache_bypasses += 1
+        if self.cache.capacity == 0:
+            key = None
+        elif request.cookie_id is not None:
+            # Session state personalises the page; never cache it.
+            key = None
+            self.stats.cache_bypasses += 1
+            if tracing:
+                self.tracer.event("cache.bypass", at=now)
+        else:
+            if key is None:
+                key = self.cache_key(request)
+            cached = self.cache.get(key, now)
+            if cached is not None:
+                self.stats.queue_wait.record(0.0)
+                self.stats.total.record(0.0)
                 if tracing:
-                    self.tracer.event("cache.bypass", at=now)
-            else:
-                key = self.cache.key_for(
-                    self.dialect.name,
-                    request.query_text,
-                    location,
-                    request.day,
-                    page=request.page,
-                    datacenter=self.cluster.by_ip(request.frontend_ip).name,
+                    self.tracer.event("cache.hit", at=now)
+                    self.tracer.end(served_by="cache")
+                return GatewayResult(
+                    response=cached, served_by="cache", cache_hit=True
                 )
-                cached = self.cache.get(key, now)
-                if cached is not None:
-                    self.stats.queue_wait.record(0.0)
-                    self.stats.total.record(0.0)
-                    result = GatewayResult(
-                        response=cached,
-                        served_by="cache",
-                        cache_hit=True,
-                        wait_minutes=0.0,
-                        latency_minutes=0.0,
-                        attempts=0,
-                        hedged=False,
-                    )
-                    if self.events.enabled:
-                        self._emit_event(request, result)
-                    if tracing:
-                        self.tracer.event("cache.hit", at=now)
-                        self.tracer.end(served_by="cache")
-                    return result
-                if tracing:
-                    self.tracer.event("cache.miss", at=now)
-                dispatch_request = replace(
-                    request,
-                    gps=self.cache.canonical_location(key),
-                    nonce=stable_hash("serve-canonical-nonce", *key),
-                )
+            if tracing:
+                self.tracer.event("cache.miss", at=now)
+            dispatch_request = replace(
+                request,
+                gps=self.cache.canonical_location(key),
+                nonce=stable_hash("serve-canonical-nonce", *key),
+            )
 
-        result = self._dispatch(dispatch_request, location, key)
+        result = self._dispatch(
+            dispatch_request, self._resolve_location(request), key
+        )
         if key is not None and result.response.ok and not result.degraded:
             self.cache.put(key, result.response, now)
-        if self.events.enabled:
-            self._emit_event(request, result)
         if tracing:
             self.tracer.end(served_by=result.served_by, attempts=result.attempts)
         return result
 
-    def _emit_event(self, request: SearchRequest, result: GatewayResult) -> None:
-        """Write this request's ``gateway`` wide event."""
-        if result.degraded:
-            outcome = "served_stale"
-        elif result.response.ok:
-            outcome = "served_fresh"
-        elif result.response.status is ResponseStatus.OVERLOADED:
-            outcome = "shed"
-        else:
-            outcome = "failed"
-        if result.cache_hit:
-            cache = "hit"
-        elif request.cookie_id is not None:
-            cache = "bypass"
-        elif result.degraded:
-            cache = "stale"
-        else:
-            cache = "miss"
-        extra = {}
-        span = self.tracer.current_span_id()
-        if span is not None:
-            extra["span"] = span
-        self.events.emit(
-            "gateway",
-            key=(request.nonce,),
-            outcome=outcome,
-            cache=cache,
-            served_by=result.served_by,
-            latency=round(result.latency_minutes, 6),
-            wait=round(result.wait_minutes, 6),
-            attempts=result.attempts,
-            hedged=result.hedged,
-            status=result.response.status.name,
-            **request.wide_dims(),
-            **extra,
+    def cache_key(self, request: SearchRequest) -> CacheKey:
+        """The SERP-cache key of a cookie-less request.
+
+        The one recipe: the fleet's front tier shards on this key, and
+        the shard gateway caches under it.
+        """
+        return self.cache.key_for(
+            self.dialect.name,
+            request.query_text,
+            self._resolve_location(request),
+            request.day,
+            page=request.page,
+            datacenter=self.cluster.by_ip(request.frontend_ip).name,
         )
 
     # -- internals -----------------------------------------------------------------
@@ -407,30 +427,16 @@ class Gateway:
                         self.stats.degraded_served += 1
                         if self.tracer.enabled:
                             self.tracer.event("gateway.degraded", at=now)
-                        return GatewayResult(
-                            response=replace(stale, degraded=True),
-                            served_by="stale-cache",
-                            cache_hit=False,
-                            wait_minutes=0.0,
-                            latency_minutes=0.0,
+                        return GatewayResult.stale(
+                            stale,
+                            "stale-cache",
                             attempts=attempts,
                             hedged=hedged_any,
-                            degraded=True,
                         )
                 self.stats.rejected += 1
                 if self.tracer.enabled:
                     self.tracer.event("gateway.shed", at=now)
-                return GatewayResult(
-                    response=SearchResponse(
-                        status=ResponseStatus.OVERLOADED, html=_OVERLOAD_HTML
-                    ),
-                    served_by="shed",
-                    cache_hit=False,
-                    wait_minutes=0.0,
-                    latency_minutes=0.0,
-                    attempts=attempts,
-                    hedged=hedged_any,
-                )
+                return GatewayResult.shed(attempts=attempts, hedged=hedged_any)
 
             hedged = self._maybe_hedge(preference, index, slot, now)
             if hedged is not None:
@@ -480,7 +486,6 @@ class Gateway:
         return GatewayResult(
             response=response,
             served_by=served_by,
-            cache_hit=False,
             wait_minutes=wait,
             latency_minutes=latency,
             attempts=attempts,
@@ -515,11 +520,6 @@ class Gateway:
         than shorten each other.  Used by the serve-chaos injector.
         """
         self._replicas_down_until = max(self._replicas_down_until, until_minutes)
-
-    @property
-    def blackout_until(self) -> float:
-        """Virtual instant the current replica blackout ends (0 = none)."""
-        return self._replicas_down_until
 
     # -- health ---------------------------------------------------------------
 

@@ -1,25 +1,25 @@
-"""Seeded load generation: synthetic users querying the gateway.
+"""Seeded load generation: synthetic users querying the gateway fleet.
 
-A :class:`ClientPopulation` models mobile searchers scattered across
-the US: each client gets a CGNAT-range IP registered in the GeoIP
-database, a home location jittered around a state centroid, a stable
-DNS answer (which datacenter frontend its requests reach), and a flag
-for whether its browser grants the Geolocation API.  A
-:class:`LoadGenerator` then draws a Poisson request stream over the
-query corpus with Zipf-distributed popularity — the skew that makes a
-SERP cache earn its keep — entirely from derived seeds, so two runs
-with one seed produce byte-identical request streams.
+A :class:`LazyClientPopulation` models mobile searchers scattered
+across the US *without materialising them*: every client's CGNAT-range
+IP, home location (jittered around a state centroid), stable DNS
+answer (which datacenter frontend its requests reach) and
+Geolocation-API grant is a pure hash of ``(seed, index)`` computed on
+touch.  Its GeoIP side is a :class:`LazyClientGeoIP` view that derives
+homes on lookup, so a million-user id space costs the same as a
+hundred-user one.
 
-For fleet-scale runs, :class:`LazyClientPopulation` models the same
-user space *without materialising it*: every client attribute is a
-pure hash of ``(seed, index)`` computed on first touch, the GeoIP side
-is a :class:`LazyClientGeoIP` view that derives homes on lookup, and
-the load generator switches to an analytic Zipf sampler whose memory
-is bounded by the distribution's head rather than the population — a
-million-user id space costs the same as a hundred-user one.
+A :class:`LoadGenerator` draws a Poisson request stream over the query
+corpus with Zipf-distributed query and client popularity — the skew
+that makes a SERP cache earn its keep — entirely from derived seeds,
+so two runs with one seed produce byte-identical request streams.
+Client ranks come from an analytic :class:`ZipfSampler` whose memory is
+bounded by the distribution's head rather than the population.
 
-:func:`run_load` is the measurement driver shared by the
-``serve-bench`` CLI command and ``benchmarks/bench_serve.py``.
+:func:`run_load` drives a stream through a
+:class:`~repro.serve.fleet.GatewayFleet` — the measurement driver
+shared by ``repro serve-bench``, ``repro chaos-serve`` and
+``benchmarks/bench_serve.py``.
 """
 
 from __future__ import annotations
@@ -27,23 +27,22 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
 from repro.engine.datacenters import DatacenterCluster
-from repro.engine.request import ResponseStatus, SearchRequest
+from repro.engine.request import SearchRequest
 from repro.geo.coords import LatLon
 from repro.geo.usa import US_STATES
 from repro.net.geoip import GeoIPDatabase
 from repro.net.ip import IPv4Address
 from repro.queries.model import Query
 from repro.seeding import derive_rng, stable_hash, stable_unit
-from repro.serve.gateway import Gateway
-from repro.serve.stats import GatewayStats
+from repro.serve.fleet import GatewayFleet
 
 __all__ = [
     "SyntheticClient",
-    "ClientPopulation",
     "LazyClientPopulation",
     "LazyClientGeoIP",
     "ZipfSampler",
@@ -71,84 +70,22 @@ class SyntheticClient:
     """The datacenter IP this client's cached DNS answer points at."""
 
 
-class ClientPopulation:
-    """A deterministic population of synthetic clients."""
-
-    def __init__(self, clients: Sequence[SyntheticClient]):
-        if not clients:
-            raise ValueError("population needs at least one client")
-        self.clients: List[SyntheticClient] = list(clients)
-
-    @classmethod
-    def generate(
-        cls,
-        seed: int,
-        count: int,
-        cluster: DatacenterCluster,
-        *,
-        gps_fraction: float = 0.8,
-        pin_frontend: bool = False,
-    ) -> "ClientPopulation":
-        """Sample ``count`` clients spread over US state centroids.
-
-        Args:
-            gps_fraction: Share of clients whose browser grants the
-                Geolocation API; the rest are located by GeoIP.
-            pin_frontend: Give every client the first datacenter's
-                frontend IP (one DNS answer — the paper's pinning),
-                instead of a stable per-client answer.
-        """
-        rng = derive_rng(seed, "serve-clients", count)
-        states = sorted(US_STATES)
-        clients: List[SyntheticClient] = []
-        for i in range(count):
-            centroid = US_STATES[rng.choice(states)]
-            home = LatLon(
-                max(-90.0, min(90.0, centroid.lat + rng.uniform(-0.7, 0.7))),
-                max(-180.0, min(180.0, centroid.lon + rng.uniform(-0.7, 0.7))),
-            )
-            frontend = (
-                cluster[0] if pin_frontend else cluster[rng.randrange(len(cluster))]
-            )
-            clients.append(
-                SyntheticClient(
-                    ip=_CLIENT_IP_BASE + (i + 1),
-                    home=home,
-                    uses_gps=rng.random() < gps_fraction,
-                    frontend_ip=frontend.frontend_ip,
-                )
-            )
-        return cls(clients)
-
-    def register(self, geoip: GeoIPDatabase) -> None:
-        """Give every client IP a GeoIP entry at its home location."""
-        for client in self.clients:
-            geoip.add_host(client.ip, client.home)
-
-    def __len__(self) -> int:
-        return len(self.clients)
-
-    def __iter__(self):
-        return iter(self.clients)
-
-    def __getitem__(self, index: int) -> SyntheticClient:
-        return self.clients[index]
-
-
 class LazyClientPopulation:
     """A million-user id space that is never materialised.
 
-    Duck-type compatible with :class:`ClientPopulation` where the load
-    generator needs it (``len``, indexing), but every client is a pure
-    function of ``(seed, index)`` computed on touch via
-    :func:`~repro.seeding.stable_hash` — no RNG sequence to replay, no
-    per-client storage, and identical attributes whether client 999999
-    is the first or the millionth one asked for.  Pair it with
-    :class:`LazyClientGeoIP` so the GeoIP side stays lazy too.
-    """
+    Every client is a pure function of ``(seed, index)`` computed on
+    touch via :func:`~repro.seeding.stable_hash` — no RNG sequence to
+    replay, no per-client storage, and identical attributes whether
+    client 999999 is the first or the millionth one asked for.  Pair it
+    with :class:`LazyClientGeoIP` so the GeoIP side stays lazy too.
 
-    #: Duck-type marker the load generator keys its lazy path on.
-    lazy = True
+    Args:
+        gps_fraction: Share of clients whose browser grants the
+            Geolocation API; the rest are located by GeoIP.
+        pin_frontend: Give every client the first datacenter's frontend
+            IP (one DNS answer — the paper's pinning), instead of a
+            stable per-client answer.
+    """
 
     def __init__(
         self,
@@ -226,10 +163,9 @@ class LazyClientPopulation:
 class LazyClientGeoIP(GeoIPDatabase):
     """GeoIP over a lazy population: homes derived at lookup time.
 
-    Client-range addresses resolve to the derived home (bit-identical
-    to what eager registration would have stored); anything else falls
-    through to the normal host/subnet tables, so datacenter fleets can
-    still be registered on top.
+    Client-range addresses resolve to the derived home; anything else
+    falls through to the normal host/subnet tables, so datacenter
+    fleets can still be registered on top.
     """
 
     def __init__(self, population: LazyClientPopulation):
@@ -301,13 +237,16 @@ class LoadGenerator:
 
     Query popularity is Zipf over a seed-shuffled ranking of the
     corpus (exponent ``zipf_exponent``), client activity likewise —
-    skew on both axes, as in real search logs.
+    skew on both axes, as in real search logs.  Client rank equals
+    client index: lazy client attributes are already hash-random in
+    the index, so no shuffle is needed to decorrelate popularity from
+    geography.
     """
 
     def __init__(
         self,
         queries: Sequence[Query],
-        population: ClientPopulation,
+        population: LazyClientPopulation,
         seed: int,
         *,
         rate_per_minute: float = 30.0,
@@ -331,27 +270,7 @@ class LoadGenerator:
         rank_rng.shuffle(query_order)
         self._query_cdf = _zipf_cdf(len(self.queries), zipf_exponent)
         self._query_by_rank = query_order
-        if getattr(population, "lazy", False):
-            # Lazy path: no million-entry shuffle or CDF.  Rank equals
-            # client index — lazy client attributes are already
-            # hash-random in the index, so no shuffle is needed to
-            # decorrelate popularity from geography.
-            self._client_sampler: Optional[ZipfSampler] = ZipfSampler(
-                len(population), zipf_exponent
-            )
-            self._client_cdf: List[float] = []
-            self._client_by_rank: List[int] = []
-        else:
-            self._client_sampler = None
-            client_order = list(range(len(population)))
-            rank_rng.shuffle(client_order)
-            self._client_cdf = _zipf_cdf(len(population), zipf_exponent)
-            self._client_by_rank = client_order
-
-    def _pick_client_index(self, rng) -> int:
-        if self._client_sampler is not None:
-            return self._client_sampler.sample(rng.random())
-        return _pick(self._client_by_rank, self._client_cdf, rng)
+        self._client_sampler = ZipfSampler(len(population), zipf_exponent)
 
     def requests(self, count: int) -> Iterator[SearchRequest]:
         """Yield ``count`` requests with non-decreasing virtual times."""
@@ -359,7 +278,7 @@ class LoadGenerator:
         now = self.start_minutes
         for i in range(count):
             query = self.queries[_pick(self._query_by_rank, self._query_cdf, rng)]
-            client = self.population[self._pick_client_index(rng)]
+            client = self.population[self._client_sampler.sample(rng.random())]
             gps: Optional[LatLon] = None
             if client.uses_gps:
                 gps = LatLon(
@@ -399,53 +318,32 @@ def _pick(by_rank: List[int], cdf: List[float], rng) -> int:
 
 @dataclass
 class LoadReport:
-    """What one measured load run produced."""
+    """What one measured load run produced.
+
+    The outcome fields are this run's fresh / stale / shed / failed
+    partition — the fleet's, decided by the same classifier
+    (:attr:`~repro.serve.gateway.GatewayResult.outcome`) — so a report
+    covers its own requests even when the fleet served others before.
+    """
 
     requests: int
     wall_seconds: float
-    ok: int = 0
-    degraded: int = 0
-    """Stale-store answers served with the DEGRADED flag.  Counted
-    apart from ``ok``: a degraded page is yesterday's bytes, and a
-    summary that folds it into successes hides the fleet limping."""
-    rate_limited: int = 0
-    overloaded: int = 0
-    stats: GatewayStats = field(default_factory=GatewayStats)
+    served_fresh: int = 0
+    served_stale: int = 0
+    shed: int = 0
+    failed: int = 0
 
     @property
     def requests_per_second(self) -> float:
         return self.requests / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
-    def render(self) -> str:
-        lines = [
-            f"load run: {self.requests} requests in {self.wall_seconds:.2f}s wall "
-            f"-> {self.requests_per_second:,.0f} req/s",
-            f"  responses         ok={self.ok} degraded={self.degraded} "
-            f"rate-limited={self.rate_limited} "
-            f"overloaded={self.overloaded}",
-            self.stats.render(),
-        ]
-        return "\n".join(lines)
 
-
-def run_load(gateway: Gateway, loadgen: LoadGenerator, count: int) -> LoadReport:
-    """Drive ``count`` generated requests through ``gateway``, timed.
-
-    ``gateway`` is duck-typed: anything with ``submit`` and ``stats``
-    works, including a :class:`~repro.serve.fleet.GatewayFleet`.
-    """
-    report = LoadReport(requests=count, wall_seconds=0.0, stats=gateway.stats)
+def run_load(fleet: GatewayFleet, loadgen: LoadGenerator, count: int) -> LoadReport:
+    """Drive ``count`` generated requests through ``fleet``, timed."""
+    outcomes = Counter()
     started = time.perf_counter()
     for request in loadgen.requests(count):
-        result = gateway.submit(request)
-        status = result.response.status
-        if result.degraded:
-            report.degraded += 1
-        elif status is ResponseStatus.OK:
-            report.ok += 1
-        elif status is ResponseStatus.RATE_LIMITED:
-            report.rate_limited += 1
-        else:
-            report.overloaded += 1
-    report.wall_seconds = time.perf_counter() - started
-    return report
+        outcomes[fleet.submit(request).outcome] += 1
+    return LoadReport(
+        requests=count, wall_seconds=time.perf_counter() - started, **outcomes
+    )

@@ -1,4 +1,4 @@
-"""Serving metrics: what the gateway counts and reports.
+"""Serving metrics: what the gateway and the fleet count and report.
 
 Everything is measured in *virtual* time (study minutes) except
 throughput, which the load driver measures against the wall clock.  The
@@ -7,11 +7,9 @@ hit/miss/eviction, admission and shedding, retries, hedges, queue
 depth, and per-stage latency.
 
 Latency series are :class:`~repro.obs.metrics.Histogram` instances —
-the shared fixed-bucket type every reporter uses — which keep the
-streaming ``count`` / ``mean_minutes`` / ``max_minutes`` the old
-``LatencyAccumulator`` exposed (that name survives as an alias).
-Snapshot/merge/restore come from :class:`~repro.obs.metrics.MetricSet`,
-so ``restore_state`` rejects unknown keys instead of blindly
+the shared fixed-bucket type every reporter uses.  Snapshot/merge/
+restore come from :class:`~repro.obs.metrics.MetricSet`, so
+``restore_state`` rejects unknown keys instead of blindly
 ``setattr``-ing whatever a snapshot contains.
 """
 
@@ -23,11 +21,7 @@ from typing import Dict
 from repro.obs.metrics import Histogram, MetricSet
 from repro.obs.telemetry import format_kv_rows
 
-__all__ = ["LatencyAccumulator", "GatewayStats", "FleetStats"]
-
-#: Backwards-compatible name: the accumulator grew buckets and became
-#: the shared histogram type.
-LatencyAccumulator = Histogram
+__all__ = ["GatewayStats", "FleetStats"]
 
 
 @dataclass
@@ -213,13 +207,19 @@ class FleetStats(MetricSet):
 
     def render(self) -> str:
         """A human-readable fleet report."""
+        unaccounted = self.unaccounted()
         rows = [
-            ("offered", self.requests),
+            ("requests", self.requests),
             (
                 "outcomes",
                 f"fresh={self.served_fresh} "
                 f"stale={self.served_stale} shed={self.shed} "
-                f"failed={self.failed} unaccounted={self.unaccounted()}",
+                f"failed={self.failed}",
+            ),
+            (
+                "accounting",
+                f"unaccounted={unaccounted} "
+                f"({'OK' if unaccounted == 0 else 'VIOLATION'})",
             ),
             (
                 "ladder",

@@ -1,9 +1,10 @@
 """The bench perf trajectories and CI regression gates.
 
-These are pure-mechanics tests over synthetic reports — the actual
-sweeps are exercised by ``benchmarks/``; here we pin the shared
+These are mostly pure-mechanics tests over synthetic reports — the
+actual sweeps are exercised by ``benchmarks/``; here we pin the shared
 history format (append, bound, legacy migration, stamping) for both
-the crawl and serve benches, plus each bench's throughput gate.
+the crawl and serve benches, each bench's throughput gate, and the
+serve sweep's rule that every timed cell starts equally warm.
 """
 
 import json
@@ -18,6 +19,7 @@ from repro.parallel.bench import (
 from repro.serve.bench import (
     ServeBenchCell,
     ServeBenchReport,
+    run_serve_bench,
     serve_regression_message,
 )
 
@@ -174,13 +176,15 @@ def _serve_cell(gateways: int = 1, rps: float = 500.0) -> ServeBenchCell:
         requests=400,
         wall_seconds=1.0,
         requests_per_second=rps,
-        ok=395,
-        degraded=3,
-        rate_limited=2,
-        overloaded=0,
+        served_fresh=395,
+        served_stale=3,
+        shed=0,
+        failed=2,
         cache_hit_rate=0.05,
+        hedges=0,
         rerouted=0,
         hot_promotions=0,
+        memo_misses=0,
     )
 
 
@@ -219,9 +223,26 @@ class TestServeTrajectory:
 
     def test_degraded_is_reported_apart_from_ok(self):
         rendered = _serve_report().render()
-        assert "degr" in rendered
+        assert "stale" in rendered
         cell = _serve_report().cells[0]
-        assert cell.ok + cell.degraded + cell.rate_limited + cell.overloaded == 400
+        assert cell.served_fresh + cell.served_stale + cell.shed + cell.failed == 400
+
+
+class TestServeSweep:
+    def test_every_timed_cell_starts_equally_warm(self):
+        """The first cell is not timed cold: untimed passes warm the
+        shared ranker memo until a pass adds no misses, so every timed
+        cell adds the same number of memo misses."""
+        report = run_serve_bench(
+            fleet_sizes=(1, 1, 2), requests=120, clients=5000, seed=9
+        )
+        assert [cell.gateways for cell in report.cells] == [1, 1, 2]
+        assert {cell.memo_misses for cell in report.cells} == {0}
+        for cell in report.cells:
+            assert (
+                cell.served_fresh + cell.served_stale + cell.shed + cell.failed
+                == 120
+            )
 
 
 class TestServeRegressionGate:
@@ -258,6 +279,8 @@ class TestServeRegressionGate:
             {"routing": "geo-affinity"},
             {"replication": 1},
             {"cache_size": 64},
+            {"pin_frontend": True},
+            {"hedge_after_minutes": 0.5},
         ):
             history = self._history(rps=500.0, **overrides)
             assert (

@@ -131,6 +131,13 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve-bench", "--routing", "coin-flip"])
 
+    @pytest.mark.parametrize("gateways", ["0", "-1"])
+    def test_serve_bench_rejects_fleet_size_below_one(self, gateways, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve-bench", "--gateways", gateways])
+        assert exit_info.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
     def test_serve_bench_fleet_mode_writes_trajectory(self, tmp_path, capsys):
         out = tmp_path / "BENCH_serve.json"
         args = ["serve-bench", "--gateways", "2", "--requests", "150",
@@ -139,7 +146,7 @@ class TestCommands:
         assert main(args) == 0
         printed = capsys.readouterr().out
         assert "gateways" in printed
-        assert "degr" in printed  # degraded column, never folded into ok
+        assert "stale" in printed  # stale column, never folded into fresh
         import json
 
         trajectory = json.loads(out.read_text())
@@ -150,6 +157,42 @@ class TestCommands:
         assert all(cell["requests_per_second"] > 0 for cell in report["cells"])
         # Second run gates against the entry the first one appended.
         assert main(args) == 0
+
+    def test_serve_bench_pin_frontend_and_hedge_after_take_effect(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import json
+
+        from repro.serve.fleet import GatewayFleet
+
+        frontends = set()
+        submit = GatewayFleet.submit
+
+        def spy(fleet, request):
+            frontends.add(request.frontend_ip)
+            return submit(fleet, request)
+
+        monkeypatch.setattr(GatewayFleet, "submit", spy)
+
+        def entry(name, *flags):
+            frontends.clear()
+            out = tmp_path / f"{name}.json"
+            assert main(
+                ["serve-bench", "--requests", "200", "--clients", "2000",
+                 "--seed", "9", "--rate", "600", "--out", str(out), *flags]
+            ) == 0
+            return json.loads(out.read_text())["entries"][-1]
+
+        plain = entry("plain")
+        assert len(frontends) > 1
+        pinned = entry("pinned", "--pin-frontend")
+        assert len(frontends) == 1  # one DNS answer for every client
+        hedged = entry("hedged", "--hedge-after", "0.05")
+        capsys.readouterr()
+        assert pinned["pin_frontend"] and not plain["pin_frontend"]
+        assert hedged["hedge_after_minutes"] == 0.05
+        assert plain["cells"][0]["hedges"] == 0
+        assert hedged["cells"][0]["hedges"] > 0
 
     def test_chaos_serve_smoke_accounts_for_everything(self, tmp_path, capsys):
         ledger = tmp_path / "serve-ledger.json"
@@ -162,8 +205,8 @@ class TestCommands:
 
         raw = json.loads(ledger.read_text())
         assert raw["unaccounted"] == 0
-        assert raw["offered"] == 200
-        assert raw["offered"] == (
+        assert raw["requests"] == 200
+        assert raw["requests"] == (
             raw["served_fresh"] + raw["served_stale"]
             + raw["shed"] + raw["failed"]
         )

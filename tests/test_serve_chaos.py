@@ -2,7 +2,7 @@
 
 The invariant under test is the fleet's outcome partition —
 
-    served fresh + served stale + shed + failed == offered
+    served fresh + served stale + shed + failed == requests
 
 — across fleet sizes, replication factors, and fault plans, plus the
 determinism contract: one configuration yields one ledger, byte for
@@ -65,7 +65,7 @@ class TestAccounting:
             world, gateways=gateways, replication=replication, plan=plan
         )
         report = harness.run(REQUESTS)
-        assert report.offered == REQUESTS
+        assert report.requests == REQUESTS
         assert report.unaccounted() == 0
         assert sum(report.faults_injected.values()) > 0
         assert sum(report.shard_requests.values()) == REQUESTS
@@ -96,9 +96,7 @@ class TestDeterminism:
         ledgers = []
         for _ in range(2):
             harness = _harness(world, gateways=3, replication=2, plan=plan)
-            raw = harness.run(REQUESTS).to_dict()
-            raw.pop("wall_seconds")
-            ledgers.append(raw)
+            ledgers.append(harness.run(REQUESTS).capture_state())
         assert ledgers[0] == ledgers[1]
 
     def test_fault_schedule_keys_on_nonce_not_fleet_size(self, world):

@@ -158,7 +158,8 @@ class TestRouting:
 
 
 class TestParity:
-    def test_r1_no_faults_matches_single_gateway(self, world):
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_r1_no_faults_matches_single_gateway(self, world, count):
         """The fleet in parity mode serves the single gateway's bytes."""
         cluster, population = _population()
         geoip = population.geoip_view()
@@ -168,7 +169,7 @@ class TestParity:
             world,
             cluster,
             geoip,
-            count=3,
+            count=count,
             replication=1,
             hot_key_threshold=None,
             cache_size=1024,

@@ -22,10 +22,11 @@ from repro.net.geoip import GeoIPDatabase
 from repro.net.ip import IPv4Address
 from repro.queries.corpus import build_corpus
 from repro.serve import (
-    ClientPopulation,
     Gateway,
+    LazyClientPopulation,
     LoadGenerator,
     ReplicaQueue,
+    build_fleet,
     build_replicas,
     make_policy,
     run_load,
@@ -394,7 +395,7 @@ class TestLoadGenerator:
 
     def test_streams_are_seed_deterministic(self, cluster):
         corpus = build_corpus()
-        population = ClientPopulation.generate(5, 40, cluster)
+        population = LazyClientPopulation(5, 40, cluster)
         a = list(LoadGenerator(list(corpus), population, 5).requests(100))
         b = list(LoadGenerator(list(corpus), population, 5).requests(100))
         assert a == b
@@ -403,14 +404,14 @@ class TestLoadGenerator:
 
     def test_arrivals_are_non_decreasing(self, cluster):
         corpus = build_corpus()
-        population = ClientPopulation.generate(5, 40, cluster)
+        population = LazyClientPopulation(5, 40, cluster)
         stream = list(LoadGenerator(list(corpus), population, 5).requests(200))
         times = [r.timestamp_minutes for r in stream]
         assert times == sorted(times)
 
     def test_popularity_is_skewed(self, cluster):
         corpus = build_corpus()
-        population = ClientPopulation.generate(5, 40, cluster)
+        population = LazyClientPopulation(5, 40, cluster)
         stream = list(LoadGenerator(list(corpus), population, 5).requests(500))
         counts: dict = {}
         for request in stream:
@@ -419,28 +420,26 @@ class TestLoadGenerator:
         # Zipf head: the most popular term dwarfs the uniform share.
         assert top > 3 * (500 / len(corpus))
 
-    def test_population_registers_geoip(self, cluster):
-        population = ClientPopulation.generate(5, 10, cluster)
-        geoip = GeoIPDatabase()
-        population.register(geoip)
-        client = population[0]
-        assert geoip.lookup(client.ip) == client.home
-
     def test_pinned_frontend(self, cluster):
-        population = ClientPopulation.generate(5, 10, cluster, pin_frontend=True)
+        population = LazyClientPopulation(5, 10, cluster, pin_frontend=True)
         assert {c.frontend_ip for c in population} == {cluster[0].frontend_ip}
 
     def test_run_load_reports(self, world, cluster):
-        geoip = GeoIPDatabase()
         corpus = build_corpus()
-        replicas = build_replicas(world, cluster, geoip, corpus=corpus, seed=21)
-        gateway = Gateway(replicas, geoip, cache_size=128)
-        population = ClientPopulation.generate(5, 30, cluster)
-        population.register(geoip)
+        population = LazyClientPopulation(5, 30, cluster)
+        fleet = build_fleet(
+            world,
+            cluster,
+            population.geoip_view(),
+            count=1,
+            corpus=corpus,
+            seed=21,
+            cache_size=128,
+        )
         loadgen = LoadGenerator(list(corpus), population, 5, rate_per_minute=20.0)
-        report = run_load(gateway, loadgen, 150)
-        assert report.ok + report.rate_limited + report.overloaded == 150
+        report = run_load(fleet, loadgen, 150)
+        assert report.served_fresh + report.shed + report.failed == 150
+        assert report.served_stale == 0
         assert report.requests_per_second > 0
-        assert gateway.stats.cache_lookups == 150
-        rendered = report.render()
-        assert "req/s" in rendered and "hit-rate" in rendered
+        (shard,) = fleet.shards.values()
+        assert shard.gateway.stats.cache_lookups == 150

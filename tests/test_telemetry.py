@@ -247,7 +247,7 @@ class TestServeEvents:
         assert validate_events(str(path)) == []
         _, events, _ = read_events(str(path))
         serve = [e for e in events if e["stream"] == "serve"]
-        assert len(serve) == report.offered
+        assert len(serve) == report.requests
         by_outcome = rollup(serve, ["outcome"])
         counts = {cell.key[0]: cell.count for cell in by_outcome.cells}
         assert counts.get("served_fresh", 0) == report.served_fresh
