@@ -240,9 +240,9 @@ class Study:
                 seed=engine_seed,
                 dialect=self.config.dialect,
                 queue_capacity=max(32, round_burst),
-                # Scoring is pure in (world, calibration, seed): one
-                # memo layer serves every datacenter, so replicas skip
-                # their own static-pool warm-up entirely.
+                # Replicas share the direct engine's ranker: they skip
+                # their own static-pool warm-up and build organic cards
+                # through the same URL-keyed memo a direct run uses.
                 ranker=self.engine.ranker,
             )
             self.gateway = Gateway(

@@ -45,11 +45,15 @@ class SearchEngine:
         calibration: Ranking/noise tunables.
         seed: Engine seed — drives every deterministic perturbation.
         ranker: Share another engine's :class:`Ranker` instead of
-            building one.  The ranker is a pure memo layer over (world,
-            calibration, seed) — it holds no serving state — so engines
-            over the same triple (gateway replicas) can share one and
-            split the warm-up cost.  Callers must not share across
-            different seeds/worlds; a guard enforces it.
+            building one.  The ranker holds no serving state, so engines
+            over the same (world, calibration, seed) — gateway replicas —
+            can share one and split the warm-up cost.  It is not a pure
+            memo layer, though: its organic-card memo is keyed on URL
+            and two documents can share a URL (same-named entities with
+            one occupation), so a ranker keeps serving the first card it
+            built for that URL.  Which engines share a ranker can
+            therefore change served bytes.  Callers must not share
+            across different seeds/worlds; a guard enforces it.
     """
 
     def __init__(

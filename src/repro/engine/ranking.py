@@ -241,7 +241,12 @@ class Ranker:
         }
 
     def clear_caches(self) -> None:
-        """Drop every memo (scores are pure, so semantics are unchanged)."""
+        """Drop every memo.
+
+        Scores are pure, so rankings are unchanged; the organic-card
+        memo is keyed on URL, though, so a URL two documents share may
+        afterwards be served with the other document's card.
+        """
         self._static_pools.clear()
         self._state_cache.clear()
         self._maps_cache.clear()

@@ -96,21 +96,31 @@ class SessionStore:
         """JSON-able snapshot of every session still able to affect output.
 
         Sessions whose every timestamp lies more than ``3 * window``
-        before ``now_minutes`` are dropped: no request at or after
-        ``now_minutes`` can read a remembered location or a recent slug
-        from them, and the next ``record`` on that cookie overwrites
-        location and last-seen while pruning the stale slugs — so the
-        dropped and kept variants are output-equivalent.  Entries that
-        survive are captured verbatim (timestamps may be
+        before ``now_minutes`` are dropped — from the snapshot *and* from
+        this store, so after a capture the live store equals
+        ``restore_state(snapshot)``, the state a resumed run continues
+        from, and holds only the sessions of the last ``3 * window``
+        minutes instead of one per cookie ever seen.  Dropping is exact
+        for requests at or after ``now_minutes``: none can read a
+        remembered location or a recent slug from a dropped session,
+        and the next ``record`` on that cookie overwrites location and
+        last-seen while pruning the stale slugs.  The overwrite needs a
+        location: :class:`~repro.engine.frontend.SearchEngine` always
+        records the resolved, non-``None`` one, whereas ``record(...,
+        None)`` would revive the old location of a session kept past
+        the horizon, which a dropped one no longer has.
+        Entries that survive are captured verbatim (timestamps may be
         non-monotonic: retries overshoot into the next round).
         """
         horizon = 3 * self.window_minutes
         sessions = {}
+        dropped = []
         for cookie_id, entry in self._sessions.items():
             freshest = max(
                 [entry.last_seen_minutes] + [t for t, _ in entry.recent]
             )
             if now_minutes - freshest > horizon:
+                dropped.append(cookie_id)
                 continue
             sessions[cookie_id] = [
                 [[t, slug] for t, slug in entry.recent],
@@ -121,6 +131,8 @@ class SessionStore:
                 ),
                 entry.last_seen_minutes,
             ]
+        for cookie_id in dropped:
+            del self._sessions[cookie_id]
         return {"sessions": sessions}
 
     def restore_state(self, state: dict) -> None:

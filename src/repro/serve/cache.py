@@ -30,6 +30,16 @@ midnight, so a SERP must not outlive the virtual day it was computed
 in.  Expiry is lazy (checked on lookup) plus swept on insert, and LRU
 eviction bounds capacity.
 
+The insert-time sweep is a full scan of the live entries, so it runs
+only when it can retire something: the cache keeps a lower bound on the
+earliest live deadline, and :meth:`SerpCache.put` sweeps only once the
+virtual clock reaches it (then recomputes it from the survivors).  Below
+the bound no entry has expired, so the skipped sweeps would have
+retired nothing; the sweeps that do run retire the same entries, in the
+same LRU order, as sweeping on every insert.  Every deadline is a
+midnight, so on a forward-moving clock the cache sweeps at most once
+per day rollover instead of on every insert.
+
 Stale store
 -----------
 Expired entries are *retired*, not discarded: the most recent page per
@@ -43,6 +53,7 @@ response is flagged ``degraded`` so nobody mistakes it for current.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Optional, Tuple
 
@@ -90,6 +101,9 @@ class SerpCache:
         # Day-less key -> last expired response (LRU, bounded by
         # ``capacity``): the degraded-mode inventory.
         self._stale: "OrderedDict[Tuple, SearchResponse]" = OrderedDict()
+        # No live entry expires before this virtual minute (a lower
+        # bound: removals never raise it, only a sweep recomputes it).
+        self._next_expiry = math.inf
 
     # -- keys -----------------------------------------------------------------
 
@@ -145,17 +159,23 @@ class SerpCache:
             return  # already stale: the request's own day has passed
         self._entries[key] = (response, expires_at)
         self._entries.move_to_end(key)
-        self._sweep_expired(now_minutes)
+        self._next_expiry = min(self._next_expiry, expires_at)
+        if now_minutes >= self._next_expiry:
+            self._sweep_expired(now_minutes)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.cache_evictions += 1
 
     def _sweep_expired(self, now_minutes: float) -> None:
-        stale = [
-            key
-            for key, (_, expires_at) in self._entries.items()
-            if now_minutes >= expires_at
-        ]
+        """Retire every expired entry and recompute the expiry bound."""
+        stale = []
+        next_expiry = math.inf
+        for key, (_, expires_at) in self._entries.items():
+            if now_minutes >= expires_at:
+                stale.append(key)
+            elif expires_at < next_expiry:
+                next_expiry = expires_at
+        self._next_expiry = next_expiry
         for key in stale:
             self._retire(key, self._entries[key][0])
             del self._entries[key]

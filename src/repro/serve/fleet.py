@@ -748,10 +748,15 @@ def build_fleet(
     """Build ``count`` shard gateways over one world and wire the fleet.
 
     Each shard owns its replicas, queues, and cache (the operational
-    state chaos hurts), but every engine shares one ranking memo layer
-    — scoring is a pure function of (world, calibration, seed), so a
-    shared ranker only removes redundant warm-up cost.  Pass ``ranker``
-    to share across fleets too (the bench sweeps do).
+    state chaos hurts).  Without ``ranker``, the first shard's replicas
+    each build a private :class:`~repro.engine.ranking.Ranker` and every
+    later shard's engines reuse the first replica's; pass ``ranker`` to
+    have every engine share it, across fleets too (the bench sweeps
+    do).  The wiring is part of what the fleet serves, not just warm-up
+    cost: a ranker's organic-card memo is keyed on URL and two
+    documents can share a URL, so engines on different rankers can
+    serve one request different bytes (see
+    :class:`~repro.engine.frontend.SearchEngine`).
     """
     shared_ranker = ranker
     gateways: List[Gateway] = []

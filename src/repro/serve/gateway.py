@@ -93,13 +93,16 @@ def build_replicas(
 ) -> List[Replica]:
     """One replica per datacenter, all over the same world and seed.
 
-    Every replica's engine is constructed identically, so any of them
-    serves any request with the same bytes; what replicas do *not*
-    share is serving state (queues, per-replica rate limiters, session
-    stores) — the operational surface the gateway manages.  Because
-    scoring is a pure function of (world, calibration, seed), replicas
-    *can* share one ranking memo layer: pass ``ranker`` to have every
-    engine reuse it instead of warming a private copy per datacenter.
+    Every replica's engine is constructed identically; what replicas
+    do *not* share is serving state (queues, per-replica rate limiters,
+    session stores) — the operational surface the gateway manages.
+    Pass ``ranker`` to have every engine reuse it instead of warming a
+    private copy per datacenter.  That choice is not byte-neutral: a
+    ranker's organic-card memo is keyed on URL, two documents can share
+    a URL, and each ranker serves the first card it built for one, so
+    replicas whose rankers have seen different traffic can serve one
+    request different bytes (see
+    :class:`~repro.engine.frontend.SearchEngine`).
     """
     return [
         Replica(

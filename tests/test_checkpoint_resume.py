@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.experiment import StudyConfig
 from repro.core.runner import Study
+from repro.engine.sessions import SessionStore
 from repro.faults.checkpoint import CheckpointError, load_checkpoint
 from repro.faults.plan import FaultPlan
 from repro.parallel import run_parallel
@@ -293,6 +294,35 @@ class TestParallelResume:
             Study(_config()).run(sink=sink, checkpoint=str(path))
         with pytest.raises(CheckpointError, match="worker"):
             Study(_config()).run(workers=2, checkpoint=str(path))
+
+
+class TestCaptureDropsStaleSessions:
+    """A capture leaves the live session store equal to its snapshot."""
+
+    def test_live_store_equals_restored_snapshot_after_every_capture(
+        self, baseline, tmp_path, monkeypatch
+    ):
+        base_study, base_dataset = baseline
+        capture = SessionStore.capture_state
+        checks = []
+
+        def checked_capture(store, now_minutes):
+            state = capture(store, now_minutes)
+            restored = SessionStore(window_minutes=store.window_minutes)
+            restored.restore_state(json.loads(json.dumps(state)))
+            checks.append(store._sessions == restored._sessions)
+            return state
+
+        monkeypatch.setattr(SessionStore, "capture_state", checked_capture)
+        study = Study(_config())
+        dataset = study.run(checkpoint=str(tmp_path / "crawl.ckpt"))
+        assert _serialized(dataset) == _serialized(base_dataset)
+        assert len(checks) == base_study.round_count()
+        assert all(checks)
+        # A run that never captures keeps one session per crawled page;
+        # the checkpointed one keeps only the last 3 windows' worth.
+        assert len(base_study.engine.sessions) == len(base_dataset)
+        assert len(study.engine.sessions) < len(dataset)
 
 
 class TestMismatchRejection:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import random
+from collections import OrderedDict
+
 import pytest
 
 from repro.engine.request import ResponseStatus, SearchRequest, SearchResponse
 from repro.geo.coords import LatLon
 from repro.net.ip import IPv4Address
 from repro.serve.cache import MINUTES_PER_DAY, SerpCache
+from repro.serve.stats import GatewayStats
 
 CLEVELAND = LatLon(41.4993, -81.6944)
 
@@ -199,6 +203,142 @@ class TestStatsCounters:
         assert cache.stats.cache_misses == 1
         assert cache.stats.cache_hits == 1
         assert cache.stats.hit_rate == 0.5
+
+
+class _AlwaysSweepCache:
+    """Reference model: the cache with a full expiry sweep on every put."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.entries: OrderedDict = OrderedDict()  # key -> (response, deadline)
+        self.stale: OrderedDict = OrderedDict()
+        self.stats = GatewayStats()
+
+    def _retire(self, key, response):
+        stale_key = key[:4] + key[5:]
+        self.stale[stale_key] = response
+        self.stale.move_to_end(stale_key)
+        while len(self.stale) > self.capacity:
+            self.stale.popitem(last=False)
+
+    def get(self, key, now):
+        entry = self.entries.get(key)
+        if entry is not None:
+            if now >= entry[1]:
+                self._retire(key, self.entries.pop(key)[0])
+                self.stats.cache_expirations += 1
+            else:
+                self.entries.move_to_end(key)
+                self.stats.cache_hits += 1
+                return entry[0]
+        self.stats.cache_misses += 1
+        return None
+
+    def put(self, key, response, now):
+        deadline = (key[4] + 1) * MINUTES_PER_DAY
+        if now >= deadline:
+            return
+        self.entries[key] = (response, deadline)
+        self.entries.move_to_end(key)
+        for expired in [k for k, (_, d) in self.entries.items() if now >= d]:
+            self._retire(expired, self.entries.pop(expired)[0])
+            self.stats.cache_expirations += 1
+        while len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
+            self.stats.cache_evictions += 1
+
+    def peek(self, key, now):
+        entry = self.entries.get(key)
+        return entry[0] if entry is not None and now < entry[1] else None
+
+    def clear(self):
+        self.entries.clear()
+        self.stale.clear()
+
+
+_CACHE_COUNTERS = (
+    "cache_hits",
+    "cache_misses",
+    "cache_evictions",
+    "cache_expirations",
+)
+
+
+class TestSweepBound:
+    """``put`` sweeps only once the earliest live deadline has passed."""
+
+    @pytest.mark.parametrize("seed,capacity", [(1, 6), (2, 6), (3, 48), (4, 48)])
+    def test_matches_always_sweep_model(self, seed, capacity):
+        rng = random.Random(seed)
+        cache = SerpCache(capacity)
+        model = _AlwaysSweepCache(capacity)
+        responses = {}
+        now = 0.0
+        for step in range(3000):
+            if step % 60 == 0:
+                # Regimes: mostly today's keys; only future days' keys
+                # (so a sweep's recomputed bound is all that guards the
+                # next rollover); long clock jumps.
+                offsets = rng.choice(((-1, 0, 0, 0, 0, 1), (1, 2), (0, 1, 2)))
+                low, high = rng.choice(((-2.0, 6.0), (0.0, 90.0)))
+            now = max(0.0, now + rng.uniform(low, high))
+            today = int(now // MINUTES_PER_DAY)
+            key = cache.key_for(
+                "g",
+                f"q{rng.randrange(10)}",
+                CLEVELAND if rng.random() < 0.5 else LatLon(41.6, -81.6944),
+                day=max(0, today + rng.choice(offsets)),
+                page=rng.randrange(2),
+            )
+            op = rng.choices(
+                ("get", "put", "peek", "clear"), weights=(40, 45, 14, 1)
+            )[0]
+            if op == "put":
+                response = responses.setdefault(key, _response(repr(key)))
+                cache.put(key, response, now)
+                model.put(key, response, now)
+            elif op == "get":
+                assert cache.get(key, now) is model.get(key, now)
+            elif op == "peek":
+                assert cache.peek(key, now) is model.peek(key, now)
+            else:
+                cache.clear()
+                model.clear()
+            context = f"seed={seed} step={step} op={op} now={now:.1f}"
+            assert cache.keys() == list(model.entries), context
+            assert list(cache._stale.items()) == list(model.stale.items()), context
+            for counter in _CACHE_COUNTERS:
+                assert getattr(cache.stats, counter) == getattr(
+                    model.stats, counter
+                ), (counter, context)
+        assert now > 3 * MINUTES_PER_DAY  # crossed at least three rollovers
+        assert cache.stats.cache_evictions > 0
+        assert cache.stats.cache_expirations > 0
+
+    def test_one_sweep_per_day_rollover(self, monkeypatch):
+        sweeps = []
+        sweep = SerpCache._sweep_expired
+
+        def counting_sweep(self, now_minutes):
+            sweeps.append(now_minutes)
+            sweep(self, now_minutes)
+
+        monkeypatch.setattr(SerpCache, "_sweep_expired", counting_sweep)
+        cache = SerpCache(4096)
+        for i in range(500):
+            key = cache.key_for("g", f"q{i}", CLEVELAND, day=0)
+            cache.put(key, _response(str(i)), now_minutes=i * 2.5)
+        assert sweeps == []
+        # Midnight itself is the day-0 deadline: the first put at it sweeps.
+        first = cache.key_for("g", "tomorrow", CLEVELAND, day=1)
+        cache.put(first, _response("d1"), now_minutes=float(MINUTES_PER_DAY))
+        assert sweeps == [MINUTES_PER_DAY]
+        assert cache.stats.cache_expirations == 500
+        assert cache.keys() == [first]
+        for i in range(100):
+            key = cache.key_for("g", f"q{i}", CLEVELAND, day=1)
+            cache.put(key, _response(str(i)), now_minutes=MINUTES_PER_DAY + 2.0 + i)
+        assert len(sweeps) == 1
 
 
 class TestGatewayCacheBehaviour:
