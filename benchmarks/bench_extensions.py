@@ -150,7 +150,7 @@ def test_temporal_churn(benchmark, bench_dataset, render_sink):
 
 def test_rank_weighted_personalization(benchmark, bench_dataset, render_sink):
     """Fig. 5 re-measured with top-weighted rank metrics (RBO, tau)."""
-    from repro.core.comparisons import iter_treatment_pairs
+    from repro.core.comparisons import record_pairs
     from repro.core.rank_metrics import kendall_tau, rank_biased_overlap
     from repro.stats.summaries import summarize
 
@@ -158,8 +158,8 @@ def test_rank_weighted_personalization(benchmark, bench_dataset, render_sink):
         rows = {}
         for granularity in ("county", "state", "national"):
             rbo_values, tau_values = [], []
-            for record_pair in _treatment_record_pairs(bench_dataset, granularity):
-                a, b = record_pair
+            local = bench_dataset.filter(category="local", granularity=granularity)
+            for a, b in record_pairs(local, noise=False):
                 rbo_values.append(rank_biased_overlap(a.urls, b.urls))
                 tau_values.append(kendall_tau(a.urls, b.urls))
             rows[granularity] = (summarize(rbo_values), summarize(tau_values))
@@ -179,19 +179,6 @@ def test_rank_weighted_personalization(benchmark, bench_dataset, render_sink):
         "artifact of unweighted metrics."
     )
     render_sink("extension_rank_weighted", "\n".join(lines))
-
-
-def _treatment_record_pairs(dataset, granularity):
-    import itertools
-
-    grouped = {}
-    for record in dataset.filter(category="local", granularity=granularity):
-        if record.copy_index != 0:
-            continue
-        grouped.setdefault((record.query, record.day), []).append(record)
-    for records in grouped.values():
-        records.sort(key=lambda r: r.location_name)
-        yield from itertools.combinations(records, 2)
 
 
 def test_multi_seed_replication(benchmark, render_sink):

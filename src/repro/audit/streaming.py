@@ -17,24 +17,24 @@ resume) and it maintains, per ``(category, granularity)`` cell:
 * **noise** statistics — treatment-vs-control comparisons (paper
   Fig. 2), whose edit mean is the noise floor.
 
-Parity contract (pinned by ``tests/test_audit_streaming.py``): because
-every lock-step round is exactly one ``(query, day)`` group, the pair
-stream this class produces is *identical — values and order — * to the
-batch iterators' stream, so the streaming **means are bit-identical**
-to :func:`~repro.stats.summaries.summarize` over
+Parity contract (pinned by ``tests/test_audit_streaming.py``): every
+lock-step round is exactly one ``(query, day)`` group, and each round
+is paired by the same walk as the batch iterators
+(:func:`~repro.core.comparisons.record_pairs`), so the pair stream this
+class produces is *identical — values and order — * to
 :func:`~repro.core.comparisons.iter_treatment_pairs` /
-:func:`~repro.core.comparisons.iter_noise_pairs`; standard deviations
-agree to ~1e-12 (Welford vs two-pass).  Records lost to crawl failures
-degrade exactly like the batch iterators: a pair whose other half is
-missing is skipped.
+:func:`~repro.core.comparisons.iter_noise_pairs`, and the streaming
+**means are bit-identical** to :func:`~repro.stats.summaries.summarize`
+over them; standard deviations agree to ~1e-12 (Welford vs two-pass).
+Records lost to crawl failures degrade exactly like the batch
+iterators: a pair whose other half is missing is skipped.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.comparisons import compare_records
+from repro.core.comparisons import compare_records, record_pairs
 from repro.core.datastore import SerpRecord
 from repro.stats.summaries import MeanStd, StreamingMeanStd
 
@@ -119,34 +119,10 @@ class StreamingComparisons:
         if not buffer:
             return
         self._buffer = []
-        # Noise pairs: copy 0 vs copy 1 at the same location, walked in
-        # arrival (= dataset) order like iter_noise_pairs.
-        controls = {
-            (r.granularity, r.location_name): r for r in buffer if r.copy_index == 1
-        }
-        for record in buffer:
-            if record.copy_index != 0:
-                continue
-            control = controls.get((record.granularity, record.location_name))
-            if control is None:
-                continue
-            comparison = compare_records(record, control)
-            self._cell(self.noise, record).observe(comparison.jaccard, comparison.edit)
-            self.pairs += 1
-        # Treatment pairs: all location pairs at one granularity, copy 0
-        # only, sorted by location name like iter_treatment_pairs.
-        by_granularity: Dict[str, List[SerpRecord]] = {}
-        for record in buffer:
-            if record.copy_index != 0:
-                continue
-            by_granularity.setdefault(record.granularity, []).append(record)
-        for records in by_granularity.values():
-            records.sort(key=lambda r: r.location_name)
-            for a, b in itertools.combinations(records, 2):
+        for cells, noise in ((self.noise, True), (self.treatment, False)):
+            for a, b in record_pairs(buffer, noise=noise):
                 comparison = compare_records(a, b)
-                self._cell(self.treatment, a).observe(
-                    comparison.jaccard, comparison.edit
-                )
+                self._cell(cells, a).observe(comparison.jaccard, comparison.edit)
                 self.pairs += 1
 
     # -- accessors -----------------------------------------------------------

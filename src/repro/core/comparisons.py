@@ -8,32 +8,41 @@ Two comparison families, following paper §3:
   vs copy 0), whose differences above the noise floor are attributed to
   location-based personalization.
 
-Both yield :class:`PageComparison` values carrying the full metrics and
-the per-result-type filtered metrics used by the attribution figures.
+:func:`record_pairs` is the one walk that pairs records, round by
+round; the batch iterators, the streaming audit
+(:mod:`repro.audit.streaming`) and the positional analysis all use it.
+The iterators yield :class:`PageComparison` values carrying the full
+metrics and the per-result-type filtered metrics used by the
+attribution figures, and :class:`ComparisonCell` summarizes one cell's
+worth of them.  :class:`PairAnalysis` compares each page pair of a
+dataset once and caches the result per (category, granularity) cell.
 
-Both iterators silently *skip* pairs whose other half is missing —
-a real crawl loses pages to CAPTCHAs, crashes, and timeouts, and the
-analyses must degrade gracefully.  :func:`per_location_coverage` makes
-the loss visible instead of silent: it folds the dataset and the
-crawl's failure log into a per-location ledger (collected / lost /
-loss-by-kind) so a reader can judge whether a location's metrics rest
-on enough pages.
+A pair whose other half is missing is silently *skipped* — a real
+crawl loses pages to CAPTCHAs, crashes, and timeouts, and the analyses
+must degrade gracefully.  :func:`per_location_coverage` makes the loss
+visible instead of silent: it folds the dataset and the crawl's failure
+log into a per-location ledger (collected / lost / loss-by-kind) so a
+reader can judge whether a location's metrics rest on enough pages.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.datastore import SerpDataset, SerpRecord
 from repro.core.metrics import edit_distance, jaccard_index
 from repro.core.parser import ResultType
+from repro.stats.summaries import MeanStd, summarize
 
 __all__ = [
     "PageComparison",
+    "ComparisonCell",
+    "PairAnalysis",
     "LocationCoverage",
     "compare_records",
+    "record_pairs",
     "iter_noise_pairs",
     "iter_treatment_pairs",
     "per_location_coverage",
@@ -90,6 +99,45 @@ def compare_records(a: SerpRecord, b: SerpRecord) -> PageComparison:
     )
 
 
+def record_pairs(
+    records: Iterable[SerpRecord], *, noise: bool
+) -> Iterator[Tuple[SerpRecord, SerpRecord]]:
+    """The record pairs of one comparison family, in canonical order.
+
+    Records are grouped into ``(query, day)`` rounds in order of first
+    arrival; a crawl delivers each lock-step round contiguously, so on
+    a study's dataset or sink stream this is arrival order.  Within a
+    round, ``noise`` pairs each copy-0 record (arrival order) with its
+    copy-1 control at the same location; otherwise, per granularity in
+    order of first arrival, every two copy-0 records pair up, sorted
+    by location name.
+    """
+    rounds: Dict[Tuple[str, int], List[SerpRecord]] = {}
+    for record in records:
+        rounds.setdefault((record.query, record.day), []).append(record)
+    for members in rounds.values():
+        if noise:
+            controls = {
+                (r.granularity, r.location_name): r
+                for r in members
+                if r.copy_index == 1
+            }
+            for record in members:
+                if record.copy_index != 0:
+                    continue
+                control = controls.get((record.granularity, record.location_name))
+                if control is not None:
+                    yield record, control
+            continue
+        by_granularity: Dict[str, List[SerpRecord]] = {}
+        for record in members:
+            if record.copy_index == 0:
+                by_granularity.setdefault(record.granularity, []).append(record)
+        for group in by_granularity.values():
+            group.sort(key=lambda r: r.location_name)
+            yield from itertools.combinations(group, 2)
+
+
 def iter_noise_pairs(
     dataset: SerpDataset,
     *,
@@ -102,14 +150,8 @@ def iter_noise_pairs(
     subset = dataset.filter(
         category=category, granularity=granularity, query=query, day=day
     )
-    for record in subset:
-        if record.copy_index != 0:
-            continue
-        control = dataset.get(
-            record.query, record.granularity, record.location_name, record.day, 1
-        )
-        if control is not None:
-            yield compare_records(record, control)
+    for a, b in record_pairs(subset, noise=True):
+        yield compare_records(a, b)
 
 
 def iter_treatment_pairs(
@@ -119,23 +161,91 @@ def iter_treatment_pairs(
     granularity: Optional[str] = None,
     query: Optional[str] = None,
     day: Optional[int] = None,
-    copy_index: int = 0,
 ) -> Iterator[PageComparison]:
-    """All-location-pair comparisons at one moment (copy vs same copy)."""
+    """All-location-pair comparisons at one moment (copy 0 vs copy 0)."""
     subset = dataset.filter(
         category=category, granularity=granularity, query=query, day=day
     )
-    grouped: Dict[tuple, List[SerpRecord]] = {}
-    for record in subset:
-        if record.copy_index != copy_index:
-            continue
-        grouped.setdefault((record.query, record.granularity, record.day), []).append(
-            record
-        )
-    for records in grouped.values():
-        records.sort(key=lambda r: r.location_name)
-        for a, b in itertools.combinations(records, 2):
-            yield compare_records(a, b)
+    for a, b in record_pairs(subset, noise=False):
+        yield compare_records(a, b)
+
+
+class ComparisonCell:
+    """Metrics of one (category, granularity) cell: a Fig. 2 noise cell,
+    a Fig. 5 personalization cell, or one term's share of either."""
+
+    def __init__(self, comparisons: List[PageComparison]):
+        if not comparisons:
+            raise ValueError("no page pairs in this cell")
+        self.comparisons = comparisons
+        self.jaccard: MeanStd = summarize(c.jaccard for c in comparisons)
+        self.edit: MeanStd = summarize(float(c.edit) for c in comparisons)
+
+    def edit_component(self, result_type: ResultType) -> MeanStd:
+        """Mean edit distance attributable to one result type."""
+        return summarize(float(c.edit_by_type[result_type]) for c in self.comparisons)
+
+    def edit_other(self) -> MeanStd:
+        """Mean edit distance hitting "normal" results (Fig. 7's Other)."""
+        return summarize(float(c.edit_other) for c in self.comparisons)
+
+    def type_share(self, result_type: ResultType) -> float:
+        """Fraction of all edit operations attributable to one type.
+
+        Computed as total type-filtered changes over total changes,
+        matching the paper's "total number of search result changes due
+        to Maps, divided by the overall number of changes".
+        """
+        total = sum(c.edit for c in self.comparisons)
+        if total == 0:
+            return 0.0
+        attributed = sum(c.edit_by_type[result_type] for c in self.comparisons)
+        return attributed / total
+
+
+class PairAnalysis:
+    """One comparison family over a dataset, each page pair compared once.
+
+    A (category, granularity) cell's comparisons are computed on first
+    use and cached; its :meth:`cell` and :meth:`per_term` breakdown are
+    groupings of that cache.
+    """
+
+    #: The family's pair iterator, as a ``staticmethod`` of
+    #: :func:`iter_noise_pairs` or :func:`iter_treatment_pairs`.
+    pairs: Callable[..., Iterator[PageComparison]]
+
+    def __init__(self, dataset: SerpDataset):
+        self.dataset = dataset
+        self._comparisons: Dict[tuple, List[PageComparison]] = {}
+        self._cells: Dict[tuple, ComparisonCell] = {}
+
+    def comparisons(self, category: str, granularity: str) -> List[PageComparison]:
+        """Every comparison of one cell, in canonical order (may be empty)."""
+        key = (category, granularity)
+        cached = self._comparisons.get(key)
+        if cached is None:
+            cached = list(
+                self.pairs(self.dataset, category=category, granularity=granularity)
+            )
+            self._comparisons[key] = cached
+        return cached
+
+    def cell(self, category: str, granularity: str) -> ComparisonCell:
+        """The figure cell for one (category, granularity)."""
+        key = (category, granularity)
+        cached = self._cells.get(key)
+        if cached is None:
+            cached = ComparisonCell(self.comparisons(category, granularity))
+            self._cells[key] = cached
+        return cached
+
+    def per_term(self, category: str, granularity: str) -> Dict[str, ComparisonCell]:
+        """Per-query cells (the per-term breakdowns of Figs. 3 and 6)."""
+        by_query: Dict[str, List[PageComparison]] = {}
+        for comparison in self.comparisons(category, granularity):
+            by_query.setdefault(comparison.query, []).append(comparison)
+        return {query: ComparisonCell(pairs) for query, pairs in by_query.items()}
 
 
 @dataclass

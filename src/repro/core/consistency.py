@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.comparisons import compare_records
+from repro.core.comparisons import record_pairs
 from repro.core.datastore import SerpDataset
+from repro.core.metrics import edit_distance
 from repro.stats.summaries import summarize
 
 __all__ = ["ConsistencySeries", "ConsistencyAnalysis"]
@@ -92,12 +93,14 @@ class ConsistencyAnalysis:
                     continue
                 control = self.dataset.get(query, granularity, baseline, day, 1)
                 if control is not None:
-                    noise_values.append(float(compare_records(base_record, control).edit))
+                    noise_values.append(
+                        float(edit_distance(base_record.urls, control.urls))
+                    )
                 for name in distance_values:
                     other = self.dataset.get(query, granularity, name, day, 0)
                     if other is not None:
                         distance_values[name].append(
-                            float(compare_records(base_record, other).edit)
+                            float(edit_distance(base_record.urls, other.urls))
                         )
             noise_floor.append(summarize(noise_values).mean if noise_values else 0.0)
             for name, values in distance_values.items():
@@ -126,24 +129,20 @@ class ConsistencyAnalysis:
                     record_a = self.dataset.get(query, granularity, name_a, day, 0)
                     record_b = self.dataset.get(query, granularity, name_b, day, 0)
                     if record_a is not None and record_b is not None:
-                        values.append(float(compare_records(record_a, record_b).edit))
+                        values.append(
+                            float(edit_distance(record_a.urls, record_b.urls))
+                        )
             if values:
                 means[(name_a, name_b)] = summarize(values).mean
         return means
 
     def noise_floor(self, granularity: str) -> float:
         """Mean treatment/control edit distance across all locations."""
-        values: List[float] = []
-        for record in self.dataset.filter(
-            category=self.category, granularity=granularity
-        ):
-            if record.copy_index != 0:
-                continue
-            control = self.dataset.get(
-                record.query, granularity, record.location_name, record.day, 1
-            )
-            if control is not None:
-                values.append(float(compare_records(record, control).edit))
+        subset = self.dataset.filter(category=self.category, granularity=granularity)
+        values = [
+            float(edit_distance(record.urls, control.urls))
+            for record, control in record_pairs(subset, noise=True)
+        ]
         if not values:
             raise ValueError(f"no control pairs at granularity {granularity!r}")
         return summarize(values).mean

@@ -19,8 +19,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.comparisons import compare_records
 from repro.core.datastore import SerpDataset
+from repro.core.metrics import jaccard_index
 from repro.geo.demographics import DEMOGRAPHIC_FEATURES, demographic_profile
 from repro.geo.regions import Region
 from repro.stats.correlation import pearson, permutation_pvalue, spearman
@@ -93,7 +93,7 @@ class DemographicsAnalysis:
                     record_a = self.dataset.get(query, self.granularity, name_a, day, 0)
                     record_b = self.dataset.get(query, self.granularity, name_b, day, 0)
                     if record_a is not None and record_b is not None:
-                        values.append(compare_records(record_a, record_b).jaccard)
+                        values.append(jaccard_index(record_a.urls, record_b.urls))
             similarities.append(summarize(values).mean if values else 0.0)
         self._similarity = similarities
         return similarities

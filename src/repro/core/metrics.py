@@ -8,11 +8,20 @@ Two metrics, exactly as the paper defines them:
   of additions, deletions, and swaps necessary to make two lists
   identical", i.e. Damerau–Levenshtein distance (optimal string
   alignment variant, which counts a transposition as one operation).
+
+The edit distance strips the two lists' common prefix and suffix, then
+runs Hyyrö's bit-parallel OSA algorithm ("A bit-vector algorithm for
+computing Levenshtein and Damerau edit distances", 2003) with one
+Python int per symbol as the match mask, so it costs one pass over the
+shorter remainder with no length cap.  Symbols are dict keys (every
+caller passes URL strings).  The textbook O(n·m) dynamic program it
+replaces is kept in ``tests/test_core_metrics.py`` as the oracle the
+tests compare it against.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, Hashable, Sequence
 
 __all__ = ["jaccard_index", "damerau_levenshtein", "edit_distance"]
 
@@ -35,7 +44,7 @@ def jaccard_index(a: Sequence[str], b: Sequence[str]) -> float:
     return len(set_a & set_b) / len(union)
 
 
-def damerau_levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
+def damerau_levenshtein(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     """Damerau–Levenshtein distance between two result sequences.
 
     Optimal string alignment: insertions, deletions, substitutions, and
@@ -47,34 +56,44 @@ def damerau_levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
     >>> damerau_levenshtein(["a", "b"], ["a", "b", "c"])
     1
     """
-    len_a, len_b = len(a), len(b)
-    if len_a == 0:
-        return len_b
-    if len_b == 0:
-        return len_a
-    # Classic O(n·m) DP with one extra diagonal for transpositions.
-    previous2 = [0] * (len_b + 1)
-    previous = list(range(len_b + 1))
-    for i in range(1, len_a + 1):
-        current = [i] + [0] * len_b
-        for j in range(1, len_b + 1):
-            substitution_cost = 0 if a[i - 1] == b[j - 1] else 1
-            current[j] = min(
-                previous[j] + 1,  # deletion
-                current[j - 1] + 1,  # insertion
-                previous[j - 1] + substitution_cost,  # substitution
-            )
-            if (
-                i > 1
-                and j > 1
-                and a[i - 1] == b[j - 2]
-                and a[i - 2] == b[j - 1]
-            ):
-                current[j] = min(current[j], previous2[j - 2] + 1)  # transposition
-        previous2, previous = previous, current
-    return previous[len_b]
+    start, end_a, end_b = 0, len(a), len(b)
+    while start < end_a and start < end_b and a[start] == b[start]:
+        start += 1
+    while end_a > start and end_b > start and a[end_a - 1] == b[end_b - 1]:
+        end_a -= 1
+        end_b -= 1
+    if start == end_a or start == end_b:
+        return (end_a - start) + (end_b - start)
+    if end_a - start < end_b - start:
+        a, b, end_a, end_b = b, a, end_b, end_a
+    # Bit i of a symbol's mask is set where the trimmed a holds it;
+    # vp/vn are the +1/-1 vertical deltas of the DP column, d0 its
+    # zero-diagonal-delta bits, so bit m-1 tracks the last row.
+    masks: Dict[Hashable, int] = {}
+    bit = 1
+    for index in range(start, end_a):
+        masks[a[index]] = masks.get(a[index], 0) | bit
+        bit <<= 1
+    last = bit >> 1
+    distance = end_a - start
+    vp, vn, d0, previous = bit - 1, 0, 0, 0
+    for index in range(start, end_b):
+        match = masks.get(b[index], 0)
+        transposed = ((~d0 & match) << 1) & previous
+        d0 = (((match & vp) + vp) ^ vp) | match | vn | transposed
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        if hp & last:
+            distance += 1
+        elif hn & last:
+            distance -= 1
+        hp = (hp << 1) | 1
+        vp = (hn << 1) | ~(d0 | hp)
+        vn = hp & d0
+        previous = match
+    return distance
 
 
-def edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
+def edit_distance(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     """Alias for :func:`damerau_levenshtein` (the paper's "edit distance")."""
     return damerau_levenshtein(a, b)

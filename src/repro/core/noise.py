@@ -12,76 +12,18 @@ the same moment.  The paper's headline noise findings:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.core.comparisons import PageComparison, iter_noise_pairs
-from repro.core.datastore import SerpDataset
+from repro.core.comparisons import PairAnalysis, iter_noise_pairs
 from repro.core.parser import ResultType
-from repro.stats.summaries import MeanStd, summarize
 
-__all__ = ["NoiseCell", "NoiseAnalysis"]
-
-
-class NoiseCell:
-    """Noise metrics for one (category, granularity) cell of Fig. 2."""
-
-    def __init__(self, comparisons: List[PageComparison]):
-        if not comparisons:
-            raise ValueError("no treatment/control pairs in this cell")
-        self.comparisons = comparisons
-        self.jaccard: MeanStd = summarize(c.jaccard for c in comparisons)
-        self.edit: MeanStd = summarize(float(c.edit) for c in comparisons)
-
-    def edit_component(self, result_type: ResultType) -> MeanStd:
-        """Mean edit distance attributable to one result type."""
-        return summarize(float(c.edit_by_type[result_type]) for c in self.comparisons)
-
-    def type_share(self, result_type: ResultType) -> float:
-        """Fraction of all edit operations attributable to one type.
-
-        Computed as total type-filtered changes over total changes,
-        matching the paper's "total number of search result changes due
-        to Maps, divided by the overall number of changes".
-        """
-        total = sum(c.edit for c in self.comparisons)
-        if total == 0:
-            return 0.0
-        attributed = sum(c.edit_by_type[result_type] for c in self.comparisons)
-        return attributed / total
+__all__ = ["NoiseAnalysis"]
 
 
-class NoiseAnalysis:
+class NoiseAnalysis(PairAnalysis):
     """All noise aggregations over one collected dataset."""
 
-    def __init__(self, dataset: SerpDataset):
-        self.dataset = dataset
-        self._cells: Dict[tuple, NoiseCell] = {}
-
-    def cell(self, category: str, granularity: str) -> NoiseCell:
-        """The Fig. 2 cell for one (category, granularity)."""
-        key = (category, granularity)
-        cached = self._cells.get(key)
-        if cached is None:
-            cached = NoiseCell(
-                list(
-                    iter_noise_pairs(
-                        self.dataset, category=category, granularity=granularity
-                    )
-                )
-            )
-            self._cells[key] = cached
-        return cached
-
-    def per_term(
-        self, category: str, granularity: str
-    ) -> Dict[str, NoiseCell]:
-        """Per-query noise cells (Fig. 3's per-term breakdown)."""
-        by_query: Dict[str, List[PageComparison]] = {}
-        for comparison in iter_noise_pairs(
-            self.dataset, category=category, granularity=granularity
-        ):
-            by_query.setdefault(comparison.query, []).append(comparison)
-        return {query: NoiseCell(pairs) for query, pairs in by_query.items()}
+    pairs = staticmethod(iter_noise_pairs)
 
     def noise_floor_edit(self, category: str, granularity: str) -> float:
         """Mean edit-distance noise (the black bars of Fig. 5)."""

@@ -16,66 +16,28 @@ paper's headline findings:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
-from repro.core.comparisons import PageComparison, iter_treatment_pairs
+from repro.core.comparisons import PairAnalysis, iter_treatment_pairs
 from repro.core.datastore import SerpDataset
 from repro.core.noise import NoiseAnalysis
 from repro.core.parser import ResultType
-from repro.stats.summaries import MeanStd, summarize
 
-__all__ = ["PersonalizationCell", "PersonalizationAnalysis"]
-
-
-class PersonalizationCell:
-    """Metrics for one (category, granularity) cell of Fig. 5."""
-
-    def __init__(self, comparisons: List[PageComparison]):
-        if not comparisons:
-            raise ValueError("no treatment pairs in this cell")
-        self.comparisons = comparisons
-        self.jaccard: MeanStd = summarize(c.jaccard for c in comparisons)
-        self.edit: MeanStd = summarize(float(c.edit) for c in comparisons)
-
-    def edit_component(self, result_type: ResultType) -> MeanStd:
-        """Mean edit distance attributable to one result type (Fig. 7)."""
-        return summarize(float(c.edit_by_type[result_type]) for c in self.comparisons)
-
-    def edit_other(self) -> MeanStd:
-        """Mean edit distance hitting "normal" results (Fig. 7's Other)."""
-        return summarize(float(c.edit_other) for c in self.comparisons)
-
-    def type_share(self, result_type: ResultType) -> float:
-        """Fraction of all edit operations attributable to one type."""
-        total = sum(c.edit for c in self.comparisons)
-        if total == 0:
-            return 0.0
-        attributed = sum(c.edit_by_type[result_type] for c in self.comparisons)
-        return attributed / total
+__all__ = ["PersonalizationAnalysis"]
 
 
-class PersonalizationAnalysis:
-    """All personalization aggregations over one collected dataset."""
+class PersonalizationAnalysis(PairAnalysis):
+    """All personalization aggregations over one collected dataset.
+
+    ``noise`` is the same dataset's :class:`NoiseAnalysis`, whose
+    cached cells give the noise floor and the significance baseline.
+    """
+
+    pairs = staticmethod(iter_treatment_pairs)
 
     def __init__(self, dataset: SerpDataset):
-        self.dataset = dataset
+        super().__init__(dataset)
         self.noise = NoiseAnalysis(dataset)
-        self._cells: Dict[tuple, PersonalizationCell] = {}
-
-    def cell(self, category: str, granularity: str) -> PersonalizationCell:
-        """The Fig. 5 cell for one (category, granularity)."""
-        key = (category, granularity)
-        cached = self._cells.get(key)
-        if cached is None:
-            cached = PersonalizationCell(
-                list(
-                    iter_treatment_pairs(
-                        self.dataset, category=category, granularity=granularity
-                    )
-                )
-            )
-            self._cells[key] = cached
-        return cached
 
     def net_edit(self, category: str, granularity: str) -> float:
         """Mean edit distance above the noise floor.
@@ -89,17 +51,6 @@ class PersonalizationAnalysis:
             - self.noise.noise_floor_edit(category, granularity),
         )
 
-    def per_term(
-        self, category: str, granularity: str
-    ) -> Dict[str, PersonalizationCell]:
-        """Per-query cells (Fig. 6's per-term breakdown)."""
-        by_query: Dict[str, List[PageComparison]] = {}
-        for comparison in iter_treatment_pairs(
-            self.dataset, category=category, granularity=granularity
-        ):
-            by_query.setdefault(comparison.query, []).append(comparison)
-        return {query: PersonalizationCell(pairs) for query, pairs in by_query.items()}
-
     def significance(self, category: str, granularity: str):
         """Mann–Whitney U test: personalization vs. the noise distribution.
 
@@ -108,15 +59,11 @@ class PersonalizationAnalysis:
         (category, granularity).  A significant result is the formal
         version of a Fig. 5 bar clearing its noise floor.
         """
-        from repro.core.comparisons import iter_noise_pairs
         from repro.stats.hypothesis_tests import mann_whitney_u
 
         treatment_edits = [float(c.edit) for c in self.cell(category, granularity).comparisons]
         noise_edits = [
-            float(c.edit)
-            for c in iter_noise_pairs(
-                self.dataset, category=category, granularity=granularity
-            )
+            float(c.edit) for c in self.noise.comparisons(category, granularity)
         ]
         return mann_whitney_u(treatment_edits, noise_edits)
 

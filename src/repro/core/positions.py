@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.datastore import SerpDataset, SerpRecord
+from repro.core.comparisons import record_pairs
+from repro.core.datastore import SerpDataset
 from repro.core.metrics import jaccard_index
 from repro.stats.summaries import MeanStd, summarize
 
@@ -33,41 +34,10 @@ class PositionalAnalysis:
 
     # -- pairs ------------------------------------------------------------------
 
-    def _pairs(self, category: str, granularity: str, *, noise: bool):
-        from repro.core.comparisons import iter_noise_pairs, iter_treatment_pairs
-
-        if noise:
-            yield from iter_noise_pairs(
-                self.dataset, category=category, granularity=granularity
-            )
-        else:
-            yield from iter_treatment_pairs(
-                self.dataset, category=category, granularity=granularity
-            )
-
     def _record_pairs(self, category: str, granularity: str, *, noise: bool):
-        """Yield (record_a, record_b) tuples for the chosen comparison."""
-        import itertools
-
+        """The (record_a, record_b) pairs of the chosen comparison family."""
         subset = self.dataset.filter(category=category, granularity=granularity)
-        if noise:
-            for record in subset:
-                if record.copy_index != 0:
-                    continue
-                control = self.dataset.get(
-                    record.query, granularity, record.location_name, record.day, 1
-                )
-                if control is not None:
-                    yield record, control
-        else:
-            grouped: Dict[tuple, List[SerpRecord]] = {}
-            for record in subset:
-                if record.copy_index != 0:
-                    continue
-                grouped.setdefault((record.query, record.day), []).append(record)
-            for records in grouped.values():
-                records.sort(key=lambda r: r.location_name)
-                yield from itertools.combinations(records, 2)
+        return record_pairs(subset, noise=noise)
 
     # -- positional volatility ----------------------------------------------------
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.experiment import StudyConfig
-from repro.core.noise import NoiseAnalysis
 from repro.core.personalization import PersonalizationAnalysis
 from repro.core.runner import Study
 from repro.stats.summaries import MeanStd, summarize
@@ -146,11 +145,10 @@ def replicate(
             )
         dataset = Study(config).run()
         personalization = PersonalizationAnalysis(dataset)
-        noise = NoiseAnalysis(dataset)
         outcomes.append(
             SeedOutcome(
                 seed=seed,
-                local_noise=noise.cell("local", "county").edit.mean,
+                local_noise=personalization.noise.cell("local", "county").edit.mean,
                 local_edit={
                     g: personalization.cell("local", g).edit.mean
                     for g in _GRANULARITIES

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.core.comparisons import PairAnalysis
 from repro.core.consistency import ConsistencyAnalysis, ConsistencySeries
 from repro.core.datastore import SerpDataset
-from repro.core.noise import NoiseAnalysis
 from repro.core.parser import ResultType
 from repro.core.personalization import PersonalizationAnalysis
 
@@ -60,8 +60,8 @@ class StudyReport:
 
     def __init__(self, dataset: SerpDataset):
         self.dataset = dataset
-        self.noise = NoiseAnalysis(dataset)
         self.personalization = PersonalizationAnalysis(dataset)
+        self.noise = self.personalization.noise
 
     # -- helpers ---------------------------------------------------------------
 
@@ -73,6 +73,36 @@ class StudyReport:
 
     def granularities(self) -> List[str]:
         return self._present(GRANULARITY_ORDER, self.dataset.granularities())
+
+    def _per_term_rows(self, analysis: PairAnalysis, category: str) -> List[dict]:
+        """Per-term mean edit distance at each granularity, terms in
+        ascending order of their national (else first) value."""
+        per_granularity = {
+            granularity: analysis.per_term(category, granularity)
+            for granularity in self.granularities()
+        }
+        national = per_granularity.get("national") or next(iter(per_granularity.values()))
+        terms = sorted(national, key=lambda t: national[t].edit.mean)
+        rows = []
+        for term in terms:
+            row = {"term": term}
+            for granularity, cells in per_granularity.items():
+                row[granularity] = cells[term].edit.mean if term in cells else None
+            rows.append(row)
+        return rows
+
+    def _render_per_term(self, title: str, figure_rows: List[dict]) -> str:
+        rows = [
+            [r["term"]]
+            + [
+                f"{r[g]:.2f}" if r.get(g) is not None else "-"
+                for g in self.granularities()
+            ]
+            for r in figure_rows
+        ]
+        return title + "\n" + _format_table(
+            ["Term"] + [_GRANULARITY_LABELS[g] for g in self.granularities()], rows
+        )
 
     # -- Figure 2: noise ---------------------------------------------------------
 
@@ -118,35 +148,12 @@ class StudyReport:
 
     def fig3_rows(self, category: str = "local") -> List[dict]:
         """Per-term edit-distance noise at each granularity."""
-        per_granularity = {
-            granularity: self.noise.per_term(category, granularity)
-            for granularity in self.granularities()
-        }
-        national = per_granularity.get("national") or next(iter(per_granularity.values()))
-        terms = sorted(national, key=lambda t: national[t].edit.mean)
-        rows = []
-        for term in terms:
-            row = {"term": term}
-            for granularity, cells in per_granularity.items():
-                row[granularity] = cells[term].edit.mean if term in cells else None
-            rows.append(row)
-        return rows
+        return self._per_term_rows(self.noise, category)
 
     def render_fig3(self) -> str:
-        rows = [
-            [r["term"]]
-            + [
-                f"{r[g]:.2f}" if r.get(g) is not None else "-"
-                for g in self.granularities()
-            ]
-            for r in self.fig3_rows()
-        ]
-        return (
-            "Figure 3 — per-term noise for local queries (edit distance)\n"
-            + _format_table(
-                ["Term"] + [_GRANULARITY_LABELS[g] for g in self.granularities()],
-                rows,
-            )
+        return self._render_per_term(
+            "Figure 3 — per-term noise for local queries (edit distance)",
+            self.fig3_rows(),
         )
 
     # -- Figure 4: noise by result type --------------------------------------------
@@ -240,35 +247,12 @@ class StudyReport:
 
     def fig6_rows(self, category: str = "local") -> List[dict]:
         """Per-term personalization edit distance at each granularity."""
-        per_granularity = {
-            granularity: self.personalization.per_term(category, granularity)
-            for granularity in self.granularities()
-        }
-        national = per_granularity.get("national") or next(iter(per_granularity.values()))
-        terms = sorted(national, key=lambda t: national[t].edit.mean)
-        rows = []
-        for term in terms:
-            row = {"term": term}
-            for granularity, cells in per_granularity.items():
-                row[granularity] = cells[term].edit.mean if term in cells else None
-            rows.append(row)
-        return rows
+        return self._per_term_rows(self.personalization, category)
 
     def render_fig6(self) -> str:
-        rows = [
-            [r["term"]]
-            + [
-                f"{r[g]:.2f}" if r.get(g) is not None else "-"
-                for g in self.granularities()
-            ]
-            for r in self.fig6_rows()
-        ]
-        return (
-            "Figure 6 — per-term personalization for local queries (edit distance)\n"
-            + _format_table(
-                ["Term"] + [_GRANULARITY_LABELS[g] for g in self.granularities()],
-                rows,
-            )
+        return self._render_per_term(
+            "Figure 6 — per-term personalization for local queries (edit distance)",
+            self.fig6_rows(),
         )
 
     # -- Figure 7: personalization by result type ------------------------------------------

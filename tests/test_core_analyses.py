@@ -229,6 +229,30 @@ class TestConsistency:
 
 
 class TestReport:
+    def test_figures_compare_each_page_pair_once(self, small_dataset, monkeypatch):
+        import repro.core.comparisons as comparisons
+
+        distinct = {
+            (a.key, b.key)
+            for noise in (True, False)
+            for a, b in comparisons.record_pairs(small_dataset, noise=noise)
+        }
+        calls = []
+        compare = comparisons.compare_records
+
+        def counted(a, b):
+            calls.append((a.key, b.key))
+            return compare(a, b)
+
+        monkeypatch.setattr(comparisons, "compare_records", counted)
+        report = StudyReport(small_dataset)
+        for figure in range(2, 8):
+            getattr(report, f"fig{figure}_rows")()
+        # The report's personalization analysis reads the same noise cache.
+        report.personalization.net_edit("local", "county")
+        assert len(calls) == len(distinct)
+        assert set(calls) == distinct
+
     def test_fig2_rows_cover_grid(self, small_dataset):
         report = StudyReport(small_dataset)
         rows = report.fig2_rows()

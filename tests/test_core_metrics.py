@@ -1,8 +1,101 @@
 """Tests for the comparison metrics (paper §2.3)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.metrics import damerau_levenshtein, edit_distance, jaccard_index
+
+
+def reference_damerau_levenshtein(a, b) -> int:
+    """The textbook O(n·m) optimal-string-alignment DP: the oracle the
+    affix-trimmed bit-vector :func:`damerau_levenshtein` must match."""
+    len_a, len_b = len(a), len(b)
+    if len_a == 0:
+        return len_b
+    if len_b == 0:
+        return len_a
+    # Classic O(n·m) DP with one extra diagonal for transpositions.
+    previous2 = [0] * (len_b + 1)
+    previous = list(range(len_b + 1))
+    for i in range(1, len_a + 1):
+        current = [i] + [0] * len_b
+        for j in range(1, len_b + 1):
+            substitution_cost = 0 if a[i - 1] == b[j - 1] else 1
+            current[j] = min(
+                previous[j] + 1,  # deletion
+                current[j - 1] + 1,  # insertion
+                previous[j - 1] + substitution_cost,  # substitution
+            )
+            if (
+                i > 1
+                and j > 1
+                and a[i - 1] == b[j - 2]
+                and a[i - 2] == b[j - 1]
+            ):
+                current[j] = min(current[j], previous2[j - 2] + 1)  # transposition
+        previous2, previous = previous, current
+    return previous[len_b]
+
+
+def _up_to_renaming(length: int, symbols: int):
+    """Every sequence of ``length`` over ``symbols`` symbols, up to
+    renaming: symbol k first appears after symbols 0..k-1."""
+    sequences = [()]
+    for _ in range(length):
+        sequences = [
+            s + (x,)
+            for s in sequences
+            for x in range(min(max(s, default=-1) + 2, symbols))
+        ]
+    return sequences
+
+
+@st.composite
+def _sequence_pairs(draw):
+    """Two lists of up to 25 items over one alphabet of at most 5
+    symbols, sharing a prefix and a suffix (either may be empty)."""
+    alphabet = st.sampled_from("abcde"[: draw(st.integers(1, 5))])
+    prefix = draw(st.lists(alphabet, max_size=9))
+    suffix = draw(st.lists(alphabet, max_size=8))
+    middle = st.lists(alphabet, max_size=8)
+    return prefix + draw(middle) + suffix, prefix + draw(middle) + suffix
+
+
+class TestAgainstReferenceDP:
+    def test_every_short_pair_over_three_symbols(self):
+        # Both functions compare symbols only for equality, so renaming
+        # symbols cannot change a distance: one pair per renaming class
+        # (a sequence of up to 12 symbols, split into two of length
+        # 0-6) covers every pair of sequences of length 0-6 over 2 or 3
+        # symbols.
+        checked = 0
+        for total in range(13):
+            for joined in _up_to_renaming(total, 3):
+                for split in range(max(0, total - 6), min(6, total) + 1):
+                    a, b = joined[:split], joined[split:]
+                    assert damerau_levenshtein(a, b) == reference_damerau_levenshtein(
+                        a, b
+                    ), (a, b)
+                    checked += 1
+        assert checked == 199_133
+
+    @settings(max_examples=200)
+    @given(_sequence_pairs())
+    def test_random_pairs_with_shared_affixes(self, pair):
+        a, b = pair
+        assert damerau_levenshtein(a, b) == reference_damerau_levenshtein(a, b)
+
+    def test_longer_than_a_machine_word(self):
+        a = [f"u{i % 7}" for i in range(90)]
+        b = a[1:] + ["x"] + a[:1]
+        b[40], b[41] = b[41], b[40]
+        assert damerau_levenshtein(a, b) == reference_damerau_levenshtein(a, b)
+
+    def test_tuples_and_lists_agree(self):
+        # Records hold URL tuples; the comparison layer passes lists.
+        a, b = list("abcdefg"), list("xbdcefy")
+        assert damerau_levenshtein(tuple(a), tuple(b)) == damerau_levenshtein(a, b) == 3
 
 
 class TestJaccard:
