@@ -16,12 +16,18 @@ demonstrating the paper's "extended to other countries" direction).
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from typing import Dict, List, Sequence, Tuple
 
-from repro.geo.coords import LatLon
+from repro.geo.coords import EARTH_RADIUS_KM, LatLon
 from repro.geo.usa import US_STATES
 
 __all__ = ["RegionLocator", "US_LOCATOR", "nearest_state"]
+
+#: Relative slack on the latitude bound before the search stops: far
+#: above float rounding, so an anchor that could tie is never pruned.
+_PRUNE_SLACK = 1e-9
 
 
 class RegionLocator:
@@ -32,6 +38,18 @@ class RegionLocator:
             raise ValueError("a locator needs at least one anchor")
         self.name = name
         self._anchors: List[Tuple[str, LatLon]] = list(anchors)
+        # (lat, lon in radians, cos(lat), original index), sorted by
+        # latitude: the search walks outward from the query's latitude.
+        self._by_lat: List[Tuple[float, float, float, int]] = sorted(
+            (
+                math.radians(anchor.lat),
+                math.radians(anchor.lon),
+                math.cos(math.radians(anchor.lat)),
+                index,
+            )
+            for index, (_, anchor) in enumerate(self._anchors)
+        )
+        self._lats: List[float] = [entry[0] for entry in self._by_lat]
         self._cache: Dict[LatLon, str] = {}
 
     @classmethod
@@ -54,17 +72,47 @@ class RegionLocator:
         return sorted({name for name, _ in self._anchors})
 
     def nearest_region(self, point: LatLon) -> str:
-        """Name of the region owning the anchor closest to ``point``."""
+        """Name of the region owning the anchor closest to ``point``.
+
+        Anchors are visited in order of latitude distance from
+        ``point``, nearer side first.  An anchor's ``sin²(Δlat/2)`` is a
+        lower bound on its haversine term and only grows along the walk,
+        so once it exceeds the best term so far by :data:`_PRUNE_SLACK`
+        every anchor left is strictly farther, and the walk stops.  Each
+        visited distance is computed with
+        :func:`~repro.geo.coords.haversine_km`'s float operations in its
+        order, and equal distances go to the anchor listed first, so the
+        answer is the full scan's, bit for bit.
+        """
         cached = self._cache.get(point)
         if cached is not None:
             return cached
-        best = self._anchors[0][0]
+        lat1 = math.radians(point.lat)
+        lon1 = math.radians(point.lon)
+        cos1 = math.cos(lat1)
+        by_lat = self._by_lat
+        count = len(by_lat)
+        hi = bisect_left(self._lats, lat1)
+        lo = hi - 1
+        best_index = count
         best_distance = float("inf")
-        for name, anchor in self._anchors:
-            distance = point.distance_km(anchor)
-            if distance < best_distance:
-                best = name
-                best_distance = distance
+        bound = float("inf")
+        while lo >= 0 or hi < count:
+            if hi == count or (lo >= 0 and lat1 - by_lat[lo][0] <= by_lat[hi][0] - lat1):
+                lat2, lon2, cos2, index = by_lat[lo]
+                lo -= 1
+            else:
+                lat2, lon2, cos2, index = by_lat[hi]
+                hi += 1
+            lat_term = math.sin((lat2 - lat1) / 2) ** 2
+            if lat_term > bound:
+                break
+            h = lat_term + cos1 * cos2 * math.sin((lon2 - lon1) / 2) ** 2
+            distance = 2 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
+            if distance < best_distance or (distance == best_distance and index < best_index):
+                best_index, best_distance = index, distance
+                bound = h * (1 + _PRUNE_SLACK)
+        best = self._anchors[best_index][0]
         if len(self._cache) < 65536:
             self._cache[point] = best
         return best

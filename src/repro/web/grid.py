@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 from repro.geo.coords import LatLon
 
@@ -80,16 +80,31 @@ class GeoGrid:
     def cells_within(self, point: LatLon, radius_miles: float) -> List[GridCell]:
         """All cells whose area intersects the disc around ``point``.
 
-        Returned in deterministic (row-major) order, which downstream
-        code relies on for reproducible candidate enumeration.
+        Returned in deterministic (row-major) order.
         """
+        return [GridCell(ix, iy) for _, iy, ix in self._gaps_within(point, radius_miles)]
+
+    def cells_nearest_first(
+        self, point: LatLon, radius_miles: float
+    ) -> Iterator[Tuple[float, GridCell]]:
+        """``(gap, cell)`` for each cell :meth:`cells_within` returns.
+
+        ``gap`` is the planar distance from ``point`` to the cell's
+        nearest point, so no point of a cell is nearer than its gap.
+        Yielded by gap, ties in row-major order; a consumer that stops
+        early never builds the farther cells.
+        """
+        for gap, iy, ix in sorted(self._gaps_within(point, radius_miles)):
+            yield gap, GridCell(ix, iy)
+
+    def _gaps_within(self, point: LatLon, radius_miles: float) -> Iterator[tuple]:
+        """``(gap, iy, ix)`` of each cell intersecting the disc, row-major."""
         if radius_miles < 0:
             raise ValueError(f"radius must be non-negative, got {radius_miles}")
         x, y = self.to_xy_miles(point)
         span = int(math.ceil(radius_miles / self.cell_miles))
         cx = math.floor(x / self.cell_miles)
         cy = math.floor(y / self.cell_miles)
-        cells: List[GridCell] = []
         for iy in range(cy - span, cy + span + 1):
             for ix in range(cx - span, cx + span + 1):
                 # Nearest point of the cell rectangle to the disc centre.
@@ -97,9 +112,9 @@ class GeoGrid:
                 rect_y0, rect_y1 = iy * self.cell_miles, (iy + 1) * self.cell_miles
                 nearest_x = min(max(x, rect_x0), rect_x1)
                 nearest_y = min(max(y, rect_y0), rect_y1)
-                if math.hypot(nearest_x - x, nearest_y - y) <= radius_miles:
-                    cells.append(GridCell(ix, iy))
-        return cells
+                gap = math.hypot(nearest_x - x, nearest_y - y)
+                if gap <= radius_miles:
+                    yield (gap, iy, ix)
 
     def distance_miles(self, a: LatLon, b: LatLon) -> float:
         """Planar distance between two points (projection-space miles)."""

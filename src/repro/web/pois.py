@@ -17,6 +17,7 @@ on:
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -71,6 +72,10 @@ CATEGORY_SPECS: Dict[str, CategorySpec] = {
         CategorySpec("football", 0.15, own_site_rate=0.3),
     ]
 }
+
+#: Margin (miles) by which a cell must lie beyond the ``limit``-th
+#: nearest POI before :meth:`PoiDatabase.pois_near` stops searching.
+_CUTOFF_SLACK_MILES = 1e-6
 
 #: Outlet density used for national brand chains.
 BRAND_OUTLET_DENSITY = 0.08
@@ -192,16 +197,35 @@ class PoiDatabase:
 
         Sorted by planar distance from ``point`` (deterministic
         tie-break on poi_id); optionally truncated to ``limit``.
+
+        Cells are visited nearest first, by the distance to their
+        nearest point.  Once ``limit`` POIs are found, a cell whose gap
+        exceeds the ``limit``-th nearest distance so far by
+        :data:`_CUTOFF_SLACK_MILES` holds no POI that could make the cut,
+        nor does any later cell, so the search stops there without
+        generating them.  The slack dwarfs the ~1e-11-mile rounding of a
+        POI's re-projected position, so the result equals a scan of
+        every cell.
         """
-        pois: List[Poi] = []
-        for cell in self.grid.cells_within(point, radius_miles):
+        found: List[tuple] = []
+        # Max-heap (negated) of the ``limit`` nearest distances so far.
+        nearest: List[float] = []
+        keep = max(limit or 0, 0)
+        for gap, cell in self.grid.cells_nearest_first(point, radius_miles):
+            if keep and len(nearest) == keep and gap > -nearest[0] + _CUTOFF_SLACK_MILES:
+                break
             for poi in self.pois_in_cell(spec, cell):
-                if self.grid.distance_miles(point, poi.location) <= radius_miles:
-                    pois.append(poi)
-        pois.sort(key=lambda p: (self.grid.distance_miles(point, p.location), p.poi_id))
+                distance = self.grid.distance_miles(point, poi.location)
+                if distance <= radius_miles:
+                    found.append((distance, poi.poi_id, poi))
+                    if len(nearest) < keep:
+                        heapq.heappush(nearest, -distance)
+                    elif keep and distance < -nearest[0]:
+                        heapq.heapreplace(nearest, -distance)
+        found.sort(key=lambda item: item[:2])
         if limit is not None:
-            pois = pois[:limit]
-        return pois
+            found = found[:limit]
+        return [poi for _, _, poi in found]
 
     def _poi_url(self, spec, name, city, cell, index, rng) -> Url:
         """A POI's canonical URL: its own site or a directory listing."""

@@ -11,7 +11,7 @@ the latter.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.geo.coords import LatLon
 from repro.queries.model import Query, QueryCategory
@@ -57,12 +57,18 @@ class WebWorld:
         self.news = NewsPool(derive_seed(seed, "news-pool"))
         #: Which country's top-level regions scope state-level content.
         self.locator = locator or US_LOCATOR
+        # universal_docs is a pure function of the query, and documents
+        # are frozen, so one slate per query serves every request.
+        self._universal: Dict[Query, Tuple[Document, ...]] = {}
 
     # -- organic candidates -------------------------------------------------
 
-    def universal_candidates(self, query: Query) -> List[Document]:
-        """Nationally scoped pages for ``query``."""
-        return universal_docs(query)
+    def universal_candidates(self, query: Query) -> Tuple[Document, ...]:
+        """Nationally scoped pages for ``query``, built once per query."""
+        slate = self._universal.get(query)
+        if slate is None:
+            slate = self._universal[query] = tuple(universal_docs(query))
+        return slate
 
     def state_candidates(self, query: Query, state: str) -> List[Document]:
         """State-scoped pages for ``query`` as seen from ``state``."""
