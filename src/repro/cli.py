@@ -7,9 +7,8 @@ Examples::
     repro-study validate --machines 50
     repro-study demographics --dataset study.jsonl.gz
     repro-study serve-bench --routing geo-affinity --cache-size 4096
-    repro-study serve-bench --gateways 4 --out BENCH_serve.json
+    repro-study serve-bench --gateways 4 --requests 300 --trace s.trace.jsonl
     repro-study chaos-serve --plan serve-chaos --gateways 3 --smoke
-    repro-study crawl-bench --workers 1,2,4,8 --out BENCH_crawl.json
     repro-study chaos --plan chaos --workers 2 --checkpoint crawl.ckpt
     repro-study run --scale small --out s.jsonl.gz --trace s.trace.jsonl
     repro-study trace s.trace.jsonl --check --chrome s.chrome.json
@@ -286,20 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         help="shard replication factor R (clamped to the fleet size)",
     )
-    serve.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="append a trajectory-v1 entry (e.g. BENCH_serve.json)",
-    )
-    serve.add_argument(
-        "--fail-on-regress",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="exit 1 if single-gateway throughput regresses more than PCT%% "
-        "against the trajectory baseline",
-    )
 
     chaos_serve = sub.add_parser(
         "chaos-serve",
@@ -501,49 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
         "simulated crashes",
     )
 
-    crawl_bench = sub.add_parser(
-        "crawl-bench",
-        help="sweep crawl worker counts, prove byte parity, write BENCH_crawl.json",
-    )
-    crawl_bench.add_argument("--seed", type=int, default=DEFAULT_STUDY_SEED)
-    crawl_bench.add_argument(
-        "--workers",
-        default=None,
-        help="comma-separated worker counts (default: 1,2,4,8)",
-    )
-    crawl_bench.add_argument(
-        "--scale", choices=["standard", "smoke"], default="standard"
-    )
-    crawl_bench.add_argument(
-        "--gateway", action="store_true", help="route the crawl via the gateway"
-    )
-    crawl_bench.add_argument("--out", default="BENCH_crawl.json")
-    crawl_bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI tier: smoke scale, workers 1,2, parity enforced",
-    )
-    crawl_bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="also print a cProfile top-20 cumulative table of the sequential run",
-    )
-    crawl_bench.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="repeats per cell, interleaved (default 5); wall = min, "
-        "median alongside",
-    )
-    crawl_bench.add_argument(
-        "--fail-on-regress",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="exit non-zero if workers=1 throughput drops more than PCT%% "
-        "below the latest comparable BENCH_crawl.json entry",
-    )
-
     trace = sub.add_parser(
         "trace", help="validate, profile, or export a deterministic trace"
     )
@@ -702,6 +644,21 @@ def _config_for_scale(scale: str, seed: int, days: Optional[int]) -> StudyConfig
     if days is not None:
         config = config.with_overrides(days=days)
     return config
+
+
+def _chaos_config(args) -> StudyConfig:
+    """The study a chaos command crawls: ``--smoke`` is the CI tier (4
+    queries, 1 day, 2 locations per granularity), else ``--scale``."""
+    if not args.smoke:
+        return _config_for_scale(args.scale, args.seed, args.days)
+    from repro.queries.corpus import build_corpus
+
+    return StudyConfig.small(
+        list(build_corpus())[:4],
+        seed=args.seed,
+        days=1,
+        locations_per_granularity=2,
+    )
 
 
 def _cmd_run(args) -> int:
@@ -1058,16 +1015,9 @@ def _cmd_reportcard(args) -> int:
 
 
 def _cmd_serve_bench(args) -> int:
-    from repro.serve.bench import (
-        load_trajectory,
-        run_serve_bench,
-        serve_regression_message,
-    )
+    from repro.serve.bench import run_serve_bench
 
     sizes = sorted({1, args.gateways})
-    history = []
-    if args.fail_on_regress is not None and args.out:
-        history = load_trajectory(args.out)
     tracer = builder = None
     if args.trace:
         from repro.obs.exporters import TraceBuilder
@@ -1104,7 +1054,6 @@ def _cmd_serve_bench(args) -> int:
         pin_frontend=args.pin_frontend,
         seed=args.seed,
         tracer=tracer,
-        out=args.out,
     )
     print(report.render())
     if builder is not None:
@@ -1112,20 +1061,6 @@ def _cmd_serve_bench(args) -> int:
         builder.close()
         tracer.disable()
         print(f"trace -> {args.trace}", file=sys.stderr)
-    if args.out:
-        print(f"trajectory -> {args.out}", file=sys.stderr)
-    if args.fail_on_regress is not None:
-        message = serve_regression_message(
-            report, history, threshold_pct=args.fail_on_regress
-        )
-        if message:
-            print(message, file=sys.stderr)
-            return 1
-        print(
-            f"no regression beyond {args.fail_on_regress:.0f}% "
-            f"({len(history)} baseline entries checked)",
-            file=sys.stderr,
-        )
     return 0
 
 
@@ -1214,18 +1149,7 @@ def _cmd_chaos(args) -> int:
             worker_crash_rate=args.crash_rate,
             worker_stall_rate=args.stall_rate,
         )
-    if args.smoke:
-        from repro.queries.corpus import build_corpus
-
-        config = StudyConfig.small(
-            list(build_corpus())[:4],
-            seed=args.seed,
-            days=1,
-            locations_per_granularity=2,
-        )
-    else:
-        config = _config_for_scale(args.scale, args.seed, args.days)
-    config = config.with_overrides(fault_plan=plan)
+    config = _chaos_config(args).with_overrides(fault_plan=plan)
     study = Study(config)
     print(
         f"chaos run: plan={args.plan} (fault seed {args.fault_seed}, "
@@ -1441,17 +1365,7 @@ def _cmd_disk_chaos(args) -> int:
                 if spec.name.endswith("_rate")
             },
         )
-    if args.smoke:
-        from repro.queries.corpus import build_corpus
-
-        config = StudyConfig.small(
-            list(build_corpus())[:4],
-            seed=args.seed,
-            days=1,
-            locations_per_granularity=2,
-        )
-    else:
-        config = _config_for_scale(args.scale, args.seed, args.days)
+    config = _chaos_config(args)
 
     workdir = None
     if not (args.checkpoint and args.out and args.baseline_out):
@@ -1583,66 +1497,6 @@ def _cmd_disk_chaos(args) -> int:
             handle.write("\n")
         print(f"report -> {args.report}", file=sys.stderr)
     return status
-
-
-def _cmd_crawl_bench(args) -> int:
-    from repro.parallel.bench import (
-        DEFAULT_REPEATS,
-        DEFAULT_WORKER_COUNTS,
-        SMOKE_WORKER_COUNTS,
-        load_trajectory,
-        profile_sequential,
-        regression_message,
-        run_crawl_bench,
-    )
-
-    if args.smoke:
-        scale, counts = "smoke", SMOKE_WORKER_COUNTS
-    else:
-        scale = args.scale
-        counts = (
-            tuple(int(part) for part in args.workers.split(",") if part)
-            if args.workers
-            else DEFAULT_WORKER_COUNTS
-        )
-    repeats = args.repeats if args.repeats is not None else DEFAULT_REPEATS
-    print(
-        f"crawl-bench: scale={scale}, workers={list(counts)}, "
-        f"gateway={args.gateway}, repeats={repeats} ...",
-        file=sys.stderr,
-    )
-    history = load_trajectory(args.out)
-    report = run_crawl_bench(
-        worker_counts=counts,
-        scale=scale,
-        seed=args.seed,
-        route_via_gateway=args.gateway,
-        out=args.out,
-        repeats=repeats,
-    )
-    print(report.render())
-    print(f"appended to {args.out}", file=sys.stderr)
-    if args.profile:
-        print()
-        print(
-            profile_sequential(
-                scale=scale, seed=args.seed, route_via_gateway=args.gateway
-            )
-        )
-    if not report.parity_ok:
-        print(
-            "PARITY FAILURE: parallel dataset differs from sequential",
-            file=sys.stderr,
-        )
-        return 1
-    if args.fail_on_regress is not None:
-        message = regression_message(
-            report, history, threshold_pct=args.fail_on_regress
-        )
-        if message is not None:
-            print(message, file=sys.stderr)
-            return 1
-    return 0
 
 
 def _cmd_schedule(args) -> int:
@@ -1853,7 +1707,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "chaos": _cmd_chaos,
         "fsck": _cmd_fsck,
         "disk-chaos": _cmd_disk_chaos,
-        "crawl-bench": _cmd_crawl_bench,
         "trace": _cmd_trace,
         "metrics": _cmd_metrics,
         "telemetry": _cmd_telemetry,

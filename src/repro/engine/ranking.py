@@ -96,6 +96,15 @@ class Ranker:
     #: order (an LRU would be too, but buys nothing for hash draws).
     UNIT_MEMO_CAP = 1 << 17
     VEC_MEMO_CAP = 1 << 13
+    #: Caps for the per-cell memos, cleared the same way: static pools
+    #: and their bundles and Maps cards are keyed on (query, snapped
+    #: cell), the nearest-state memo on the cell.  A crawl builds a fixed
+    #: set of cells, but a server meets new locations for as long as it
+    #: runs.  Each cap sits above the full paper study's pre-fork warmup
+    #: and every benchmark workload, so no shipped crawl ever clears one.
+    POOL_MEMO_CAP = 1 << 14
+    MAPS_MEMO_CAP = 1 << 11
+    STATE_MEMO_CAP = 1 << 11
 
     def __init__(self, world: WebWorld, calibration: EngineCalibration, seed: int):
         self.world = world
@@ -212,16 +221,8 @@ class Ranker:
         """
         if query.category is not QueryCategory.LOCAL:
             return
-        cal = self.calibration
         for snapped in cells:
-            if (query.key, snapped) in self._maps_cache:
-                continue
-            places = self.world.maps_places(query, snapped, cal.maps_card_size)
-            self._maps_cache[(query.key, snapped)] = (
-                SerpCard(card_type=CardType.MAPS, documents=places)
-                if places
-                else _NO_CARD
-            )
+            self._cell_maps_card(query, snapped)
 
     def cache_info(self) -> dict:
         """Sizes of every memo plus aggregate hit/miss counters."""
@@ -408,6 +409,8 @@ class Ranker:
                 for doc, _ in pool
             ),
         )
+        if len(self._bundles) > self.POOL_MEMO_CAP:
+            self._bundles.clear()
         self._bundles[key] = bundle
         return bundle
 
@@ -490,6 +493,8 @@ class Ranker:
         state = self._state_cache.get(snapped)
         if state is None:
             state = self.world.locator.nearest_region(snapped)
+            if len(self._state_cache) > self.STATE_MEMO_CAP:
+                self._state_cache.clear()
             self._state_cache[snapped] = state
         return state
 
@@ -523,6 +528,8 @@ class Ranker:
             if existing is None or score > existing[1]:
                 best[doc.identity] = (doc, score)
         pool = list(best.values())
+        if len(self._static_pools) > self.POOL_MEMO_CAP:
+            self._static_pools.clear()
         self._static_pools[key] = pool
         return pool
 
@@ -650,17 +657,27 @@ class Ranker:
         gate = stable_unit("maps-gate", self.seed, query.key, ctx.nonce)
         if gate >= probability:
             return None
-        cache_key = (query.key, snapped)
-        card = self._maps_cache.get(cache_key)
+        card = self._cell_maps_card(query, snapped)
+        return card if card is not _NO_CARD else None
+
+    def _cell_maps_card(self, query: Query, snapped: LatLon) -> SerpCard:
+        """The Maps card of a local query at a snapped cell, memoised
+        (``_NO_CARD`` when no place is near)."""
+        key = (query.key, snapped)
+        card = self._maps_cache.get(key)
         if card is None:
-            places = self.world.maps_places(query, snapped, cal.maps_card_size)
+            places = self.world.maps_places(
+                query, snapped, self.calibration.maps_card_size
+            )
             card = (
                 SerpCard(card_type=CardType.MAPS, documents=places)
                 if places
                 else _NO_CARD
             )
-            self._maps_cache[cache_key] = card
-        return card if card is not _NO_CARD else None
+            if len(self._maps_cache) > self.MAPS_MEMO_CAP:
+                self._maps_cache.clear()
+            self._maps_cache[key] = card
+        return card
 
     def _news_card(
         self, query: Query, state: str, ctx: RankingContext

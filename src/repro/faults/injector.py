@@ -150,8 +150,9 @@ class FaultStats(MetricSet):
 class FaultyNetwork(Network):
     """A :class:`Network` that injects a :class:`FaultPlan`'s schedule.
 
-    With a zero plan this is byte-for-byte a plain ``Network`` — the
-    overhead benchmark pins that down by digest.
+    With a zero plan this is byte-for-byte a plain ``Network``:
+    ``tests/test_faults.py`` crawls a study both ways and compares the
+    dataset digests.
     """
 
     #: Supervised workers install their harness here (duck-typed: an

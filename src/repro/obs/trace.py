@@ -20,7 +20,7 @@ Determinism is structural, not incidental:
   same canonical coordinates the parallel executor merges by.
 
 The tracer is **disabled by default** and every hook is a cheap
-early-return when it is off — the crawl bench records the overhead.
+early-return when it is off, a cost inside every perfbench workload.
 Workers emit per-shard span trees each round; the parent merges them in
 canonical round order (the checkpoint-journal design), which is why
 trace files are byte-identical for any worker count.

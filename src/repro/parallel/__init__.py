@@ -8,8 +8,8 @@ Public surface:
   recovery on under ``supervise=True``;
 * :func:`plan_shards` / :class:`ShardPlan` — the machine-granular
   treatment partition the parity argument rests on;
-* :func:`run_crawl_bench` — the worker-count sweep behind
-  ``repro-study crawl-bench`` and ``BENCH_crawl.json``.
+* :func:`bench_config` / :func:`dataset_digest` — the benchmark's
+  crawl config and the dataset digest its parity checks compare.
 """
 
 from repro.parallel.executor import (
@@ -18,24 +18,13 @@ from repro.parallel.executor import (
     plan_shards,
     run_parallel,
 )
-from repro.parallel.bench import (
-    BenchCell,
-    BenchReport,
-    bench_config,
-    dataset_digest,
-    profile_sequential,
-    run_crawl_bench,
-)
+from repro.parallel.bench import bench_config, dataset_digest
 
 __all__ = [
     "ShardPlan",
     "WorkerFailure",
     "plan_shards",
     "run_parallel",
-    "BenchCell",
-    "BenchReport",
     "bench_config",
     "dataset_digest",
-    "profile_sequential",
-    "run_crawl_bench",
 ]

@@ -392,6 +392,9 @@ class _WorkerSlot:
     retired: bool = False
     """Counted as lost capacity already (degradation N -> N-1)."""
     last_message_wall: float = field(default_factory=time.monotonic)
+    leader_at_assign: Optional[int] = None
+    """The leader's next round when the slot was assigned, until the
+    worker's first message of that assignment (None after)."""
 
 
 class _Executor:
@@ -502,6 +505,7 @@ class _Executor:
     def _assign(self, shard: _ShardState, slot: _WorkerSlot) -> None:
         slot.shard = shard.shard_id
         slot.last_message_wall = time.monotonic()
+        slot.leader_at_assign = self._leader()
         slot.command_queue.put(
             (
                 "run",
@@ -575,6 +579,7 @@ class _Executor:
         shard = self.shards[shard_id]
         slot = self.slots[worker_id]
         slot.last_message_wall = time.monotonic()
+        slot.leader_at_assign = None
         if kind == "heartbeat":
             ordinal, timestamp = message[3:]
             if ordinal >= shard.next_ordinal:  # else a stale incarnation
@@ -658,12 +663,16 @@ class _Executor:
 
     # -- detection -----------------------------------------------------------
 
-    def _watchdog(self) -> None:
-        now = time.monotonic()
-        leader = max(
+    def _leader(self) -> int:
+        """Next round of the most advanced live shard."""
+        return max(
             (s.next_ordinal for s in self.shards if not s.quarantined),
             default=0,
         )
+
+    def _watchdog(self) -> None:
+        now = time.monotonic()
+        leader = self._leader()
         for slot in self.slots:
             if slot.dead or slot.shard is None:
                 continue
@@ -681,9 +690,17 @@ class _Executor:
             else:
                 silence = now - slot.last_message_wall
                 wall_stalled = silence >= self.policy.stall_timeout_seconds
+                # Until its first message a worker is building its
+                # study and restoring the shard's snapshot, so it is
+                # late only once the leader has moved on since the
+                # assignment, not for where the leader already stood
+                # (a replacement starts behind).
+                start = shard.next_ordinal
+                if slot.leader_at_assign is not None:
+                    start = max(start, slot.leader_at_assign)
                 virtual_stalled = (
                     silence >= self.policy.stall_grace_seconds
-                    and leader - shard.next_ordinal >= self.policy.stall_rounds
+                    and leader - start >= self.policy.stall_rounds
                 )
                 if not (wall_stalled or virtual_stalled):
                     continue

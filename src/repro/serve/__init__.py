@@ -20,12 +20,7 @@ See ``docs/SERVING.md`` for the architecture and
 """
 
 from repro.serve.admission import DEFAULT_SERVICE_MINUTES, QueueSlot, ReplicaQueue
-from repro.serve.bench import (
-    ServeBenchCell,
-    ServeBenchReport,
-    run_serve_bench,
-    serve_regression_message,
-)
+from repro.serve.bench import ServeSweepCell, ServeSweepReport, run_serve_bench
 from repro.serve.cache import CacheKey, SerpCache
 from repro.serve.chaos import ServeChaos
 from repro.serve.fleet import (
@@ -75,10 +70,9 @@ __all__ = [
     "build_fleet_registry",
     "shard_key_of",
     "ServeChaos",
-    "ServeBenchCell",
-    "ServeBenchReport",
+    "ServeSweepCell",
+    "ServeSweepReport",
     "run_serve_bench",
-    "serve_regression_message",
     "LazyClientGeoIP",
     "LazyClientPopulation",
     "LoadGenerator",

@@ -1,29 +1,23 @@
-"""The serve bench: fleet throughput sweep with a perf trajectory.
+"""The serve bench: the operator's load-test sweep over fleet sizes.
 
-Mirrors the crawl bench's history mechanics (``repro.parallel.bench``):
-each run appends one stamped entry to ``BENCH_serve.json`` in the
-trajectory-v1 format — UTC timestamp plus git sha, last
-:data:`~repro.parallel.bench.TRAJECTORY_KEEP` entries kept — via the
-*shared* :func:`~repro.parallel.bench.write_trajectory_entry` helper,
-and :func:`serve_regression_message` is the CI gate comparing the new
-single-gateway throughput against the latest comparable entry.
-
-The sweep itself builds a fresh :class:`~repro.serve.fleet.
-GatewayFleet` per cell over one shared world (engines share a ranker,
-so cell cost is serving state, not index construction), drives the
-same lazy-population load stream through each, and records the fleet's
-fresh / stale / shed / failed partition — stale pages counted apart
-from fresh ones, never folded into successes.  One shard is the
-single-gateway case.
+The sweep builds a fresh :class:`~repro.serve.fleet.GatewayFleet` per
+cell over one shared world (engines share a ranker, so cell cost is
+serving state, not index construction), drives the same lazy-population
+load stream through each, and records the fleet's fresh / stale / shed
+/ failed partition — stale pages counted apart from fresh ones, never
+folded into successes.  One shard is the single-gateway case.
 
 Every timed cell starts from the same warm state: untimed passes of the
 cell's own configuration run until one adds no ranker-memo misses, so
 the first cell is not timed cold while later ones reuse its warm memo.
+
+The report is printed, not recorded: the repo's performance numbers
+come from ``perfbench/`` (``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.serve.fleet import GatewayFleet, build_fleet
@@ -34,35 +28,13 @@ from repro.serve.loadgen import (
 )
 from repro.serve.stats import GatewayStats
 
-__all__ = [
-    "ServeBenchCell",
-    "ServeBenchReport",
-    "run_serve_bench",
-    "serve_regression_message",
-    "load_trajectory",  # re-export: the serve gate reads the same format
-]
-
-
-def load_trajectory(path):
-    """Entries of a trajectory file, oldest first (shared format)."""
-    # Imported lazily: repro.parallel pulls in the crawl executor,
-    # which imports the serve gateway — a cycle at module-import time.
-    from repro.parallel.bench import load_trajectory as _load
-
-    return _load(path)
+__all__ = ["ServeSweepCell", "ServeSweepReport", "run_serve_bench"]
 
 DEFAULT_FLEET_SIZES: Sequence[int] = (1, 2)
 
-#: Report fields that fix a load shape: only a history entry matching
-#: on all of them is a comparable baseline for the regression gate.
-_LOAD_SHAPE = (
-    "seed", "clients", "requests", "rate_per_minute", "routing",
-    "cache_size", "replication", "hedge_after_minutes", "pin_frontend",
-)
-
 
 @dataclass
-class ServeBenchCell:
+class ServeSweepCell:
     """One measured (fleet size, replication) configuration."""
 
     gateways: int
@@ -86,10 +58,9 @@ class ServeBenchCell:
 
 
 @dataclass
-class ServeBenchReport:
-    """One sweep over fleet sizes; one trajectory entry when written."""
+class ServeSweepReport:
+    """One sweep over fleet sizes."""
 
-    benchmark: str = "serve"
     seed: int = 0
     clients: int = 0
     requests: int = 0
@@ -99,26 +70,7 @@ class ServeBenchReport:
     replication: int = 1
     hedge_after_minutes: Optional[float] = None
     pin_frontend: bool = False
-    cells: List[ServeBenchCell] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def write(self, path, *, keep: Optional[int] = None):
-        """Append this report to the ``BENCH_serve.json`` trajectory.
-
-        Same mechanics as the crawl bench (timestamp + git sha, last
-        ``keep`` entries, default :data:`TRAJECTORY_KEEP`), through the
-        shared helper.
-        """
-        from repro.parallel.bench import TRAJECTORY_KEEP, write_trajectory_entry
-
-        return write_trajectory_entry(
-            path,
-            self.to_dict(),
-            benchmark="serve",
-            keep=TRAJECTORY_KEEP if keep is None else keep,
-        )
+    cells: List[ServeSweepCell] = field(default_factory=list)
 
     def render(self) -> str:
         lines = [
@@ -162,9 +114,8 @@ def run_serve_bench(
     pin_frontend: bool = False,
     seed: int = 0,
     tracer=None,
-    out=None,
-) -> ServeBenchReport:
-    """Sweep fleet sizes over one load; append to the trajectory.
+) -> ServeSweepReport:
+    """Sweep fleet sizes over one load.
 
     The client population is lazy — ``clients`` can be a million
     without materialising anyone — and each timed cell gets a fresh
@@ -188,7 +139,7 @@ def run_serve_bench(
     geoip = population.geoip_view()
     engine_seed = derive_seed(seed, "engine")
     ranker = Ranker(world, EngineCalibration(), engine_seed)
-    report = ServeBenchReport(
+    report = ServeSweepReport(
         seed=seed,
         clients=clients,
         requests=requests,
@@ -245,7 +196,7 @@ def run_serve_bench(
         for shard in fleet.shards.values():
             gateway_stats.merge(shard.gateway.stats)
         report.cells.append(
-            ServeBenchCell(
+            ServeSweepCell(
                 gateways=size,
                 replication=fleet.replication,
                 requests=requests,
@@ -263,52 +214,5 @@ def run_serve_bench(
                 replica_requests=dict(gateway_stats.replica_requests),
             )
         )
-    if out is not None:
-        report.write(out)
     return report
 
-
-def serve_regression_message(
-    report: ServeBenchReport,
-    history: Sequence[dict],
-    *,
-    threshold_pct: float,
-) -> Optional[str]:
-    """The serve-bench CI gate: None if within bounds, else a message.
-
-    Compares the new single-gateway (``gateways == 1``) throughput
-    against the most recent history entry with the same load shape.
-    Pass the history loaded *before* this run appended its entry.  No
-    comparable baseline passes — same contract as the crawl gate.
-    """
-    baseline = None
-    for entry in reversed(list(history)):
-        if entry.get("cells") and all(
-            entry.get(name) == getattr(report, name) for name in _LOAD_SHAPE
-        ):
-            baseline = entry
-            break
-    if baseline is None:
-        return None
-    old_cell = next(
-        (cell for cell in baseline["cells"] if cell.get("gateways") == 1),
-        None,
-    )
-    new_cell = next(
-        (cell for cell in report.cells if cell.gateways == 1), None
-    )
-    if old_cell is None or new_cell is None:
-        return None
-    old_rps = old_cell.get("requests_per_second")
-    if not old_rps:
-        return None
-    new_rps = new_cell.requests_per_second
-    if new_rps >= old_rps * (1.0 - threshold_pct / 100.0):
-        return None
-    return (
-        f"PERF REGRESSION: gateways=1 throughput {new_rps:.1f} req/s is "
-        f"{100.0 * (old_rps - new_rps) / old_rps:.1f}% below the committed "
-        f"baseline {old_rps:.1f} req/s "
-        f"(entry {baseline.get('git_sha') or '?'} at "
-        f"{baseline.get('timestamp') or '?'}; threshold {threshold_pct:.0f}%)"
-    )

@@ -113,7 +113,9 @@ class SupervisorPolicy:
 
     stall_rounds: int = 2
     """Virtual-time liveness deadline: a silent worker this many rounds
-    behind the most advanced shard has missed its heartbeat."""
+    behind the most advanced shard has missed its heartbeat.  Until its
+    first message after an assignment (while it builds its study) a
+    worker is behind only by the rounds the leader ran since then."""
 
     poll_seconds: float = 0.2
     """Result-queue poll interval (bounds detection latency)."""

@@ -142,6 +142,12 @@ class PoiDatabase:
             it.
     """
 
+    #: Entry cap for the (category, cell) memo.  Every entry is a pure
+    #: function of its key, so it is cleared outright on overflow, like
+    #: the ranker's memos; the cap sits above the full paper study's
+    #: pre-fork warmup and every benchmark workload.
+    CELL_MEMO_CAP = 1 << 16
+
     def __init__(self, seed: int, grid: GeoGrid, metro_grid: GeoGrid):
         self.seed = seed
         self.grid = grid
@@ -182,6 +188,8 @@ class PoiDatabase:
                     city=city,
                 )
             )
+        if len(self._cache) > self.CELL_MEMO_CAP:
+            self._cache.clear()
         self._cache[key] = pois
         return pois
 

@@ -353,19 +353,49 @@ class TestRankerCaches:
     def test_memo_caps_bound_growth_without_changing_output(
         self, ranker_world, queries
     ):
+        # A local query with a Maps card on every page, served at four
+        # cells in four states, eight buckets each.
         query = queries["generic"]
-        unbounded = _ranker(ranker_world)
-        capped = _ranker(ranker_world)
-        capped.UNIT_MEMO_CAP = 0  # instance override: clear on every overflow
-        capped.VEC_MEMO_CAP = 0
-        for bucket in range(8):
-            ctx = _ctx(CLEVELAND, bucket=bucket, nonce=bucket + 1)
-            assert render_page(capped.build_page(query, ctx)) == render_page(
-                unbounded.build_page(query, ctx)
-            )
-            assert len(capped._jitter_vecs) <= 1
-            assert len(capped._skew_vecs) <= 1
-        assert len(unbounded._jitter_vecs) == 8
+        unbounded = _ranker(ranker_world, maps_prob_generic=1.0)
+        capped = _ranker(WebWorld(808), maps_prob_generic=1.0)
+        capped.world.pois.CELL_MEMO_CAP = 0
+        for cap in (
+            "UNIT_MEMO_CAP",
+            "VEC_MEMO_CAP",
+            "POOL_MEMO_CAP",
+            "MAPS_MEMO_CAP",
+            "STATE_MEMO_CAP",
+        ):
+            setattr(capped, cap, 0)  # instance override: clear on every overflow
+        memos = (
+            "_jitter_vecs",
+            "_skew_vecs",
+            "_static_pools",
+            "_bundles",
+            "_maps_cache",
+            "_state_cache",
+        )
+        places = (
+            CLEVELAND,
+            AUSTIN,
+            LatLon(40.7128, -74.0060),
+            LatLon(47.6062, -122.3321),
+        )
+        for place in places:
+            for bucket in range(8):
+                ctx = _ctx(place, bucket=bucket, nonce=bucket + 1)
+                page = capped.build_page(query, ctx)
+                assert render_page(page) == render_page(
+                    unbounded.build_page(query, ctx)
+                )
+                assert any(card.card_type is CardType.MAPS for card in page.cards)
+                for name in memos:
+                    assert len(getattr(capped, name)) <= 1, name
+                assert len(capped.world.pois._cache) <= 1
+        assert len(unbounded._jitter_vecs) == 8 * len(places)
+        for name in ("_static_pools", "_bundles", "_maps_cache", "_state_cache"):
+            assert len(getattr(unbounded, name)) == len(places), name
+        assert len(unbounded.world.pois._cache) > len(places)
 
     def test_prewarm_fills_only_pure_memos(self, ranker_world, queries):
         query = queries["generic"]

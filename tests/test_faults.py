@@ -23,6 +23,7 @@ from repro.faults.injector import (
 from repro.faults.plan import FaultKind, FaultPlan, FailureKind, NAMED_PLANS
 from repro.faults.retry import RetryPolicy
 from repro.net.dns import ResolutionError
+from repro.parallel import dataset_digest
 from repro.queries.corpus import build_corpus
 
 
@@ -253,6 +254,13 @@ class TestFaultyNetwork:
         html_a = study_a.treatments[0].browser.search("Starbucks", 0.0).html
         html_b = study_b.treatments[0].browser.search("Starbucks", 0.0).html
         assert html_a == html_b
+        # A whole crawl through the hardened path (FaultyNetwork and
+        # per-IP breakers on, nothing injected) writes the plain bytes.
+        plain = Study(_tiny_config())
+        calm = Study(_tiny_config(fault_plan=FaultPlan()))
+        assert calm.breakers is not None
+        assert dataset_digest(calm.run()) == dataset_digest(plain.run())
+        assert calm.failures == plain.failures
 
     def test_injected_faults_raise_typed_exceptions(self):
         crash = _Harness(FaultPlan(crash_rate=1.0))

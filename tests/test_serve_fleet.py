@@ -1,4 +1,4 @@
-"""Fleet behaviour: ring maths, parity, the degradation ladder.
+"""Fleet behaviour: ring maths, parity, the degradation ladder, the sweep.
 
 The two anchors mirror the issue's acceptance bar: the remap-bound
 test pins consistent hashing's reason to exist (adding a shard moves
@@ -23,10 +23,13 @@ from repro.serve import (
     HashRing,
     LazyClientPopulation,
     LoadGenerator,
+    ServeSweepCell,
+    ServeSweepReport,
     ZipfSampler,
     build_fleet,
     build_fleet_registry,
     build_replicas,
+    run_serve_bench,
     shard_key_of,
 )
 from repro.web.world import WebWorld
@@ -391,3 +394,43 @@ class TestLazyPopulation:
         a = list(LoadGenerator(corpus, population, 7).requests(50))
         b = list(LoadGenerator(corpus, population, 7).requests(50))
         assert a == b
+
+
+class TestServeSweep:
+    def test_every_timed_cell_starts_equally_warm(self):
+        """The first cell is not timed cold: untimed passes warm the
+        shared ranker memo until a pass adds no misses, so every timed
+        cell adds the same number of memo misses."""
+        report = run_serve_bench(
+            fleet_sizes=(1, 1, 2), requests=120, clients=5000, seed=9
+        )
+        assert [cell.gateways for cell in report.cells] == [1, 1, 2]
+        assert {cell.memo_misses for cell in report.cells} == {0}
+        for cell in report.cells:
+            assert (
+                cell.served_fresh + cell.served_stale + cell.shed + cell.failed
+                == 120
+            )
+
+    def test_degraded_is_reported_apart_from_ok(self):
+        cell = ServeSweepCell(
+            gateways=1,
+            replication=1,
+            requests=400,
+            wall_seconds=1.0,
+            requests_per_second=400.0,
+            served_fresh=395,
+            served_stale=3,
+            shed=0,
+            failed=2,
+            cache_hit_rate=0.05,
+            hedges=0,
+            rerouted=0,
+            hot_promotions=0,
+            memo_misses=0,
+        )
+        report = ServeSweepReport(requests=400, cells=[cell])
+        header, row = report.render().splitlines()[1:3]
+        assert "stale" in header.split()
+        assert row.split()[3:7] == ["395", "3", "0", "2"]
+        assert cell.served_fresh + cell.served_stale + cell.shed + cell.failed == 400

@@ -189,6 +189,32 @@ class TestStallRecovery:
         assert stats.stalls_detected == 1
         assert stats.crashes_detected == 0
 
+    def test_slow_replacement_build_is_not_a_second_stall(
+        self, baseline, monkeypatch
+    ):
+        # The replacement builds its study and restores the shard's
+        # snapshot before its first heartbeat, while the leader is
+        # already ahead: a build slower than the stall grace (a busy
+        # host) is not a hang.  Workers fork, so they inherit the patch.
+        restore = Study.restore_state
+
+        def slow_restore(study, state):
+            time.sleep(3 * FAST_STALLS.stall_grace_seconds)
+            return restore(study, state)
+
+        monkeypatch.setattr(Study, "restore_state", slow_restore)
+        expected, _ = baseline
+        got, study = _run(
+            _config(),
+            workers=2,
+            policy=FAST_STALLS,
+            kill_specs=(KillSpec(shard=0, ordinal=1, mode="stall"),),
+        )
+        assert got == expected
+        stats = study.supervisor.stats
+        assert stats.stalls_detected == 1
+        assert stats.crashes_detected == 0
+
     def test_wall_clock_watchdog_backstops_single_worker(self, baseline):
         # workers=1: no leader to define a virtual deadline, so only
         # the wall-clock watchdog can notice the hang.
