@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.browser import MobileBrowser, Network
 from repro.core.datastore import SerpDataset, SerpRecord
@@ -367,8 +367,9 @@ class Study:
                 a compatible journal, the study resumes after its last
                 durable round and the final dataset, stats, and failure
                 log are byte-identical to an uninterrupted run.  The
-                worker count must match the journal's; ``supervise``
-                need not, and composes with it.
+                shard layout (the worker count and which treatments
+                each worker crawls) must match the journal's;
+                ``supervise`` need not, and composes with it.
             trace: Optional path for a canonical JSONL trace (see
                 :mod:`repro.obs`).  The trace file is byte-identical
                 for any ``workers`` count.  Cannot be combined with
@@ -466,27 +467,29 @@ class Study:
         return build_study_registry(self, include_caches=include_caches)
 
     def _open_journal(
-        self, path: str, workers: int, replay
+        self, path: str, shards: Sequence[Sequence[int]], replay
     ) -> Tuple[CheckpointWriter, ResumeState]:
-        """Open the round journal at ``path`` for a ``workers``-shard run.
+        """Open the round journal at ``path`` for a run dealt as ``shards``.
 
-        A fresh file gets a header; an existing journal is checked
-        against this study, truncated to its durable prefix, and each
-        journalled round is handed to ``replay(ordinal, outcomes)`` in
-        schedule order, so the caller's dataset, sink, failure log, and
-        event log catch up before crawling resumes.  Returns the writer
+        ``shards`` holds each worker's treatment indices.  A fresh file
+        gets a header recording them; an existing journal is checked
+        against this study and that layout, truncated to its durable
+        prefix, and each journalled round is handed to
+        ``replay(ordinal, outcomes)`` in schedule order, so the caller's
+        dataset, sink, failure log, and event log catch up before
+        crawling resumes.  Returns the writer
         and the resume point (``next_ordinal`` plus every shard's
         state), which is empty for a fresh journal.  The sequential run
         and the parallel executor both open journals here.
         """
         fingerprint = self.checkpoint_fingerprint()
         resume = load_checkpoint(
-            path, expected_fingerprint=fingerprint, workers=workers
+            path, expected_fingerprint=fingerprint, shards=shards
         )
         if resume is None:
             header = {
                 "version": CHECKPOINT_VERSION,
-                "workers": workers,
+                "shards": [list(shard) for shard in shards],
                 "fingerprint": fingerprint,
             }
             return CheckpointWriter.create(path, header), ResumeState()
@@ -504,7 +507,9 @@ class Study:
             if event_builder is not None:
                 event_builder.add_round(ordinal, list(enumerate(outcomes)))
 
-        writer, resume = self._open_journal(path, 1, release)
+        writer, resume = self._open_journal(
+            path, [range(len(self.treatments))], release
+        )
         if resume.next_ordinal > 0:
             self.restore_state(resume.worker_states[0])
         try:

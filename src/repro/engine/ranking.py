@@ -105,6 +105,15 @@ class Ranker:
     POOL_MEMO_CAP = 1 << 14
     MAPS_MEMO_CAP = 1 << 11
     STATE_MEMO_CAP = 1 << 11
+    #: Suggestion strips are keyed on (query, state, metro cell) and
+    #: News cards on (query, day, state): a server adds entries for
+    #: every new place and every served day.  Both are pure in their
+    #: keys, so they clear like the caps above.  The organic-card memo
+    #: is left uncapped: it is keyed on URL, and two same-URL entities
+    #: (``ambiguous_entities``) would make a clear change which one's
+    #: card is served; fixing its key comes first.
+    SUGGESTION_MEMO_CAP = 1 << 14
+    NEWS_MEMO_CAP = 1 << 14
 
     def __init__(self, world: WebWorld, calibration: EngineCalibration, seed: int):
         self.world = world
@@ -212,9 +221,8 @@ class Ranker:
         """Build maps cards for the given *snapped* cells ahead of serving.
 
         The POI lookup behind a maps card is the most expensive cold
-        miss in the serving path, and cells repeat across shards
-        (copies of a location sit on different crawl machines), so the
-        pre-fork warmup computes each card once in the parent.  Callers
+        miss in the serving path, so the pre-fork warmup computes each
+        card once in the parent for workers to inherit.  Callers
         pass the gate-passing cell set predicted from the schedule walk
         (:func:`repro.batch.predicted_maps_cells`); a missed prediction
         just falls back to the lazy per-request path.
@@ -477,6 +485,8 @@ class Ranker:
             suggestions = tuple(
                 related_searches(query, state, metro, seed=self.seed)
             )
+            if len(self._suggestion_cache) > self.SUGGESTION_MEMO_CAP:
+                self._suggestion_cache.clear()
             self._suggestion_cache[key] = suggestions
         return suggestions
 
@@ -702,5 +712,7 @@ class Ranker:
                 if articles
                 else _NO_CARD
             )
+            if len(self._news_cache) > self.NEWS_MEMO_CAP:
+                self._news_cache.clear()
             self._news_cache[cache_key] = card
         return card if card is not _NO_CARD else None

@@ -8,7 +8,7 @@ data, the resumed run is **byte-identical** to an uninterrupted one.
 
 File layout (one JSON object per line)::
 
-    {"kind": "header", "version": 1, "workers": W, "fingerprint": {...}}
+    {"kind": "header", "version": 2, "shards": [[0, 1, ...], ...], "fingerprint": {...}}
     {"kind": "round", "ordinal": 0, "outcomes": [{"r": {...}}, {"f": {...}}, ...]}
     {"kind": "state", "ordinal": 0, "worker": 0, "state": {...}}
     ... one "round" line + W "state" lines per completed round ...
@@ -18,6 +18,9 @@ File layout (one JSON object per line)::
   treatment order — exactly the order a live run appends them, so
   re-feeding them reconstructs the dataset, failure log, and sink
   stream byte-for-byte.
+* ``shards`` is the shard layout: per worker, the treatment indices it
+  crawls (one shard of every treatment for a sequential run).  W, the
+  worker count, is its length.
 * ``state`` is the worker's full post-round snapshot
   (``Study.capture_state()``: crawl/fault stats, browser counters,
   engine session + rate-limiter state, gateway queues, breakers).
@@ -50,7 +53,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.store.fileops import current_ops
 from repro.store.record_log import RecordLogWriter, read_log
@@ -63,7 +66,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -137,16 +140,17 @@ class CheckpointWriter:
 
 
 def load_checkpoint(
-    path: str, *, expected_fingerprint: dict, workers: int
+    path: str, *, expected_fingerprint: dict, shards: Sequence[Sequence[int]]
 ) -> Optional[ResumeState]:
     """Load the durable prefix of a journal, truncating any partial tail.
 
-    Returns ``None`` when ``path`` does not exist (a fresh run).
-    Raises :class:`CheckpointError` when the file exists but cannot be
-    resumed: unreadable header, version/fingerprint mismatch, or a
-    worker-count mismatch (shard state snapshots only fit the worker
-    layout that produced them).  Interior corruption — a record that
-    fails its checksum before later valid data — raises
+    ``shards`` is the resuming run's layout: per worker, the treatment
+    indices it crawls.  Returns ``None`` when ``path`` does not exist
+    (a fresh run).  Raises :class:`CheckpointError` when the file exists
+    but cannot be resumed: unreadable header, version/fingerprint
+    mismatch, or a different shard layout (shard state snapshots only
+    fit the layout that produced them).  Interior corruption — a record
+    that fails its checksum before later valid data — raises
     :class:`~repro.store.record_log.StoreCorruption` instead of being
     silently absorbed into a shorter resume.
     """
@@ -166,11 +170,14 @@ def load_checkpoint(
             f"checkpoint {path!r} is version {header.get('version')}, "
             f"expected {CHECKPOINT_VERSION}"
         )
-    if header.get("workers") != workers:
+    workers = len(shards)
+    recorded = header.get("shards") or []
+    if recorded != [list(shard) for shard in shards]:
         raise CheckpointError(
-            f"checkpoint {path!r} was written by a {header.get('workers')}-worker "
-            f"run and cannot resume with workers={workers}: per-worker state "
-            "snapshots only fit the shard layout that produced them"
+            f"checkpoint {path!r} was written by a {len(recorded)}-worker run "
+            "with a different shard layout and cannot resume with "
+            f"workers={workers}: per-worker state snapshots only fit the "
+            "shard layout that produced them"
         )
     if header.get("fingerprint") != expected_fingerprint:
         raise CheckpointError(

@@ -7,7 +7,11 @@ Public surface:
   run (reachable as ``Study.run(workers=N)``); the one executor, with
   recovery on under ``supervise=True``;
 * :func:`plan_shards` / :class:`ShardPlan` — the machine-granular
-  treatment partition the parity argument rests on;
+  treatment partition the parity argument rests on: each worker takes
+  a contiguous, treatment-balanced run of crawl machines, which keeps
+  a location's treatment and control (neighbouring machines, when the
+  machine count is even) on one worker unless a cut falls between
+  them, so per-location engine state is built once;
 * :func:`bench_config` / :func:`dataset_digest` — the benchmark's
   crawl config and the dataset digest its parity checks compare.
 """

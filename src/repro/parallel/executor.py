@@ -9,13 +9,20 @@ Design
 ------
 * **Sharding is machine-granular.**  Treatments are grouped by the
   crawl machine their browser is bound to (``index % machine_count`` —
-  the fleet assignment in :meth:`Study._build_treatments`), and
-  machines are dealt round-robin to workers.  The per-IP rate limiter
-  is the only cross-treatment coupling in the engine, and its
-  decisions depend only on the per-IP request sequence — keeping every
-  browser of a machine in one worker preserves that sequence exactly,
-  so admission (and therefore CAPTCHAs, retries, and failures) is
-  identical to the sequential run.
+  the fleet assignment in :meth:`Study._build_treatments`), and each
+  worker is dealt a contiguous, treatment-balanced run of machines in
+  fleet order.  The per-IP rate limiter is the only cross-treatment
+  coupling in the engine, and its decisions depend only on the per-IP
+  request sequence — keeping every browser of a machine in one worker
+  preserves that sequence exactly, so admission (and therefore
+  CAPTCHAs, retries, and failures) is identical to the sequential run.
+  A location's treatment and control have consecutive browser indices,
+  so they sit on neighbouring machines and a contiguous run keeps the
+  pair on one worker unless a cut falls between them; a cold worker
+  then builds the static pools, suggestion strips, and Maps cards of
+  its own locations only.  (With an odd machine count a pair can wrap
+  from the last machine to machine 0, and so span the last and first
+  workers.)
 * **Workers inherit, they do not rebuild.**  Unsupervised runs
   construct and pre-warm the whole apparatus once in the parent
   (world, engine, ranking pools, digest caches —
@@ -152,6 +159,20 @@ def plan_shards(
     ordered sequence for parity, so the machine group is the atomic
     unit of sharding.  Workers the plan cannot feed (more workers than
     occupied machines) are dropped rather than spawned idle.
+
+    Each worker takes a contiguous run of machines in fleet order:
+    worker ``w``'s run ends at the first machine that brings the
+    treatments dealt so far to ``(w + 1) / workers`` of the total, so
+    the largest shard exceeds an even share by less than one machine's
+    load.  A location's copies get consecutive browser indices, hence
+    neighbouring machines, so a run keeps a location's treatment and
+    control on one worker unless a cut falls between them — and
+    everything the engine builds per location (candidate pools, static
+    scores, suggestion strips, Maps cards) is built by one worker.
+    Neighbouring holds when ``machine_count`` is a multiple of the
+    copies per location (even, for pairs); otherwise a location can
+    wrap from the last machine to machine 0, and so span the last and
+    first workers.
     """
     if treatment_count < 1:
         raise ValueError("need at least one treatment")
@@ -162,12 +183,18 @@ def plan_shards(
     occupied_machines = min(machine_count, treatment_count)
     effective = min(workers, occupied_machines)
     shards: List[List[int]] = [[] for _ in range(effective)]
-    for index in range(treatment_count):
-        machine = index % machine_count
-        shards[machine % effective].append(index)
+    worker = dealt = 0
+    for machine in range(occupied_machines):
+        members = range(machine, treatment_count, machine_count)
+        shards[worker].extend(members)
+        dealt += len(members)
+        # Machine loads never grow along the fleet, so the cut for each
+        # worker leaves every later worker at least one machine.
+        if dealt * effective >= (worker + 1) * treatment_count:
+            worker += 1
     return ShardPlan(
         workers=effective,
-        assignments=tuple(tuple(shard) for shard in shards),
+        assignments=tuple(tuple(sorted(shard)) for shard in shards),
     )
 
 
@@ -466,7 +493,7 @@ class _Executor:
         resume = ResumeState()
         if checkpoint is not None:
             self.writer, resume = self.study._open_journal(
-                checkpoint, len(self.shards), self._release
+                checkpoint, [shard.indices for shard in self.shards], self._release
             )
         self.next_flush = resume.next_ordinal
         for shard in self.shards:
@@ -930,10 +957,11 @@ def run_parallel(
             Rounds become durable only once *every* shard has reported
             them; on resume all shards restart from the durable
             boundary with their state restored.  The journal records
-            the effective worker count and refuses to resume under a
-            different one (per-shard snapshots only fit the shard
-            layout that produced them); it does not record
-            ``supervise``, so either mode resumes the other's journal.
+            the shard layout (each worker's treatment indices) and
+            refuses to resume under a different one (per-shard
+            snapshots only fit the layout that produced them); it does
+            not record ``supervise``, so either mode resumes the
+            other's journal.
         trace: Optional canonical trace path, as in :meth:`Study.run`.
             Workers ship per-round span trees; the parent merges them
             through the same :class:`~repro.obs.exporters.TraceBuilder`

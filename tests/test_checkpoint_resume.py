@@ -23,7 +23,8 @@ from repro.core.runner import Study
 from repro.engine.sessions import SessionStore
 from repro.faults.checkpoint import CheckpointError, load_checkpoint
 from repro.faults.plan import FaultPlan
-from repro.parallel import run_parallel
+from repro.parallel import ShardPlan, run_parallel
+from repro.parallel import executor as executor_module
 from repro.queries.corpus import build_corpus
 from repro.store import StoreCorruption
 from repro.store.record_log import read_log
@@ -350,6 +351,26 @@ class TestMismatchRejection:
         with pytest.raises(CheckpointError):
             Study(_config()).run(checkpoint=str(path))
 
+    def test_different_shard_layout_is_refused(self, tmp_path, monkeypatch):
+        # Same worker count, machines dealt round-robin instead of in
+        # contiguous runs: each worker's snapshot belongs to other
+        # browsers, so resuming would restore the wrong shard's state.
+        def round_robin(treatment_count, machine_count, workers):
+            effective = min(workers, machine_count, treatment_count)
+            shards = [[] for _ in range(effective)]
+            for index in range(treatment_count):
+                shards[index % machine_count % effective].append(index)
+            return ShardPlan(effective, tuple(tuple(shard) for shard in shards))
+
+        path = tmp_path / "layout.ckpt"
+        sink, _ = _killing_sink(11)
+        with monkeypatch.context() as patched:
+            patched.setattr(executor_module, "plan_shards", round_robin)
+            with pytest.raises(Killed):
+                Study(_config()).run(sink=sink, workers=2, checkpoint=str(path))
+        with pytest.raises(CheckpointError, match="2-worker"):
+            Study(_config()).run(workers=2, checkpoint=str(path))
+
 
 class TestFramedJournalDamage:
     """Satellite 4: the framed journal under byte-level disk damage."""
@@ -387,12 +408,13 @@ class TestFramedJournalDamage:
         """
         study, data, round_ends = journal
         fingerprint = study.checkpoint_fingerprint()
+        shards = [range(len(study.treatments))]  # the sequential layout
         target = tmp_path / "torn.ckpt"
         start, stop = round_ends[0], round_ends[1]
         for cut in range(start, stop + 1):
             target.write_bytes(data[:cut])
             state = load_checkpoint(
-                str(target), expected_fingerprint=fingerprint, workers=1
+                str(target), expected_fingerprint=fingerprint, shards=shards
             )
             expected = 2 if cut == stop else 1
             assert state.next_ordinal == expected, f"cut@{cut}"
@@ -408,6 +430,7 @@ class TestFramedJournalDamage:
         frame's checksum must turn it into a loud ``StoreCorruption``."""
         study, data, _ = journal
         fingerprint = study.checkpoint_fingerprint()
+        shards = [range(len(study.treatments))]  # the sequential layout
         header_len = len(b"~F1 ") + 8 + 1 + 8 + 1
         lines = data.split(b"\n")
         line = bytearray(lines[1])  # round 0's line, before valid data
@@ -421,7 +444,7 @@ class TestFramedJournalDamage:
         target.write_bytes(b"\n".join(lines))
         with pytest.raises(StoreCorruption) as excinfo:
             load_checkpoint(
-                str(target), expected_fingerprint=fingerprint, workers=1
+                str(target), expected_fingerprint=fingerprint, shards=shards
             )
         assert excinfo.value.record_index == 1
         assert "fsck" in str(excinfo.value)

@@ -365,6 +365,8 @@ class TestRankerCaches:
             "POOL_MEMO_CAP",
             "MAPS_MEMO_CAP",
             "STATE_MEMO_CAP",
+            "SUGGESTION_MEMO_CAP",
+            "NEWS_MEMO_CAP",
         ):
             setattr(capped, cap, 0)  # instance override: clear on every overflow
         memos = (
@@ -374,6 +376,8 @@ class TestRankerCaches:
             "_bundles",
             "_maps_cache",
             "_state_cache",
+            "_suggestion_cache",
+            "_news_cache",
         )
         places = (
             CLEVELAND,
@@ -392,9 +396,25 @@ class TestRankerCaches:
                 for name in memos:
                     assert len(getattr(capped, name)) <= 1, name
                 assert len(capped.world.pois._cache) <= 1
-        assert len(unbounded._jitter_vecs) == 8 * len(places)
-        for name in ("_static_pools", "_bundles", "_maps_cache", "_state_cache"):
+        # A politician query carries a News card every day: one per
+        # (day, state), each place in its own state.
+        politician = queries["politician"]
+        for day in range(3):
+            for place in places:
+                ctx = _ctx(place, day=day)
+                page = capped.build_page(politician, ctx)
+                assert render_page(page) == render_page(
+                    unbounded.build_page(politician, ctx)
+                )
+                assert any(card.card_type is CardType.NEWS for card in page.cards)
+                for name in memos:
+                    assert len(getattr(capped, name)) <= 1, name
+        assert len(unbounded._jitter_vecs) == 8 * len(places) + len(places)
+        for name in ("_static_pools", "_bundles", "_suggestion_cache"):
+            assert len(getattr(unbounded, name)) == 2 * len(places), name
+        for name in ("_maps_cache", "_state_cache"):
             assert len(getattr(unbounded, name)) == len(places), name
+        assert len(unbounded._news_cache) == 3 * len(places)
         assert len(unbounded.world.pois._cache) > len(places)
 
     def test_prewarm_fills_only_pure_memos(self, ranker_world, queries):

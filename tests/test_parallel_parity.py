@@ -14,7 +14,7 @@ import pytest
 from repro.core.experiment import StudyConfig
 from repro.core.runner import CrawlStats, Study
 from repro.engine.calibration import EngineCalibration
-from repro.parallel import dataset_digest, plan_shards, run_parallel
+from repro.parallel import bench_config, dataset_digest, plan_shards, run_parallel
 from repro.queries.corpus import build_corpus
 
 
@@ -67,6 +67,64 @@ class TestShardPlan:
             plan_shards(treatment_count=0, machine_count=1, workers=1)
         with pytest.raises(ValueError):
             plan_shards(treatment_count=1, machine_count=1, workers=0)
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_bench_shape_keeps_each_location_on_one_worker(self, workers):
+        study = Study(bench_config())
+        plan = plan_shards(len(study.treatments), len(study.fleet), workers)
+        owners = {}
+        for worker, shard in enumerate(plan.assignments):
+            for index in shard:
+                region = study.treatments[index].region
+                owners.setdefault(region.qualified_name, set()).add(worker)
+        assert len(owners) == 24
+        assert all(len(workers_of) == 1 for workers_of in owners.values())
+
+    def test_largest_shard_within_one_machine_of_an_even_share(self):
+        cases = [
+            (12, 5, 3),
+            (23, 7, 4),
+            (3, 2, 8),
+            (1, 44, 8),
+            (30, 5, 2),
+            (48, 44, 2),
+            (48, 44, 3),
+            (48, 44, 4),
+            (48, 44, 8),
+            (118, 44, 2),
+            (118, 44, 4),
+            (118, 44, 8),
+            (30, 20, 20),
+            (31, 10, 9),
+            (97, 13, 6),
+        ]
+        for treatments, machines, workers in cases:
+            plan = plan_shards(treatments, machines, workers)
+            heaviest = len(range(0, treatments, machines))
+            largest = max(len(shard) for shard in plan.assignments)
+            assert all(plan.assignments), (treatments, machines, workers)
+            assert largest * plan.workers < treatments + heaviest * plan.workers, (
+                treatments,
+                machines,
+                workers,
+            )
+
+    def test_cold_shard_builds_only_its_own_cells(self):
+        # A supervised shard execution builds its study from the config;
+        # its ranker then holds one static pool per (query, cell) of the
+        # shard's own treatments.  Days do not change the pool count.
+        config = bench_config().with_overrides(days=1)
+        study = Study(config)
+        shard = plan_shards(len(study.treatments), len(study.fleet), 2).assignments[0]
+        ranker = study.engine.ranker
+        regions = {study.treatments[index].region for index in shard}
+        cells = {ranker._snap_grid.snap(region.center) for region in regions}
+        study.run_shard(list(shard), on_round=lambda *round_: None)
+        pools = ranker.cache_info()["static_pools"]
+        # Half the study's 24 locations, both copies of each: at most
+        # 30 queries x 12 cells (two locations may share a snapped cell).
+        assert len(regions) == 12
+        assert pools == len(config.queries) * len(cells) <= 360
 
 
 class TestByteParity:

@@ -20,7 +20,7 @@ from repro.core.comparisons import per_location_coverage
 from repro.core.experiment import StudyConfig
 from repro.core.runner import Study
 from repro.faults.plan import FaultPlan
-from repro.parallel import WorkerFailure, run_parallel
+from repro.parallel import WorkerFailure, plan_shards, run_parallel
 from repro.queries.corpus import build_corpus
 from repro.supervise import (
     KillSpec,
@@ -244,11 +244,14 @@ class TestQuarantine:
         report = study.supervisor
         assert report.stats.quarantined_shards == 1
         assert not report.clean
-        # Shard 0 delivered round 0 (7 treatments), then lost rounds
-        # 1-2: 14 synthesized failures, zero silent loss.
+        # Shard 0 delivered round 0, then lost rounds 1-2: one
+        # synthesized failure per (lost round, shard-0 treatment), zero
+        # silent loss.
+        plan = plan_shards(len(study.treatments), len(study.fleet), 2)
+        lost_cells = 2 * len(plan.assignments[0])
         expected_cells = study.round_count() * len(study.treatments)
         assert len(dataset) + len(study.failures) == expected_cells
-        assert report.stats.quarantined_failures == len(study.failures) == 14
+        assert report.stats.quarantined_failures == len(study.failures) == lost_cells
         assert {f.kind for f in study.failures} == {"shard-quarantined"}
         coverage = per_location_coverage(dataset, study.failures)
         lost = {
