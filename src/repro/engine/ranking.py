@@ -20,7 +20,6 @@ News card (gated per (topic, day) — stable within a day).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,7 +27,7 @@ from repro.engine.calibration import EngineCalibration
 from repro.engine.serp import CardType, SerpCard, SerpPage
 from repro.geo.coords import LatLon, haversine_miles
 from repro.queries.model import Query, QueryCategory
-from repro.seeding import stable_unit
+from repro.seeding import stable_hashes, stable_unit
 from repro.web.documents import DocKind, Document, GeoScope
 from repro.web.grid import GeoGrid
 from repro.web.world import WebWorld
@@ -56,6 +55,14 @@ class _PoolBundle:
 def _centered(*parts) -> float:
     """A deterministic value in (-1, 1) from a seed path."""
     return (stable_unit(*parts) - 0.5) * 2.0
+
+
+def _centered_many(head: tuple, varying, tail: tuple = ()) -> List[float]:
+    """``[_centered(*head, v, *tail) for v in varying]`` in one batch."""
+    return [
+        (digest / 2**64 - 0.5) * 2.0
+        for digest in stable_hashes(head, varying, tail)
+    ]
 
 
 #: Sentinel cached for (query, cell) combinations that yield no
@@ -87,14 +94,13 @@ class Ranker:
     study tractable without changing any ranking semantics.
     """
 
-    #: Entry caps for the per-request memo dicts.  The key spaces are
-    #: open-ended ((bucket, url) has ``ab_buckets`` x corpus-size
-    #: entries), so a long-lived engine must not grow them without
-    #: bound.  On overflow the dict is cleared outright — every entry is
-    #: a pure function of its key, so eviction can never change a score,
-    #: and wholesale clearing is deterministic regardless of insertion
-    #: order (an LRU would be too, but buys nothing for hash draws).
-    UNIT_MEMO_CAP = 1 << 17
+    #: Entry cap for the per-request vector memos.  The key spaces are
+    #: open-ended ((query, cell, bucket) grows with every served cell),
+    #: so a long-lived engine must not grow them without bound.  On
+    #: overflow the dict is cleared outright — every entry is a pure
+    #: function of its key, so eviction can never change a score, and
+    #: wholesale clearing is deterministic regardless of insertion order
+    #: (an LRU would be too, but buys nothing for hash draws).
     VEC_MEMO_CAP = 1 << 13
     #: Caps for the per-cell memos, cleared the same way: static pools
     #: and their bundles and Maps cards are keyed on (query, snapped
@@ -125,13 +131,6 @@ class Ranker:
         self._state_cache: dict = {}
         self._maps_cache: dict = {}
         self._news_cache: dict = {}
-        # Per-request score terms are hash draws over small key spaces
-        # ((bucket, url) and (datacenter, url)); memoising the unit
-        # draws keeps the inner scoring loop off SHA-256 entirely after
-        # warm-up.  Amplitudes are applied outside the memo so
-        # calibration stays live.
-        self._jitter_units: dict = {}
-        self._skew_units: dict = {}
         # Batch-path caches: flattened pools and per-(pool, bucket) /
         # per-(pool, datacenter) unit vectors aligned with them.
         self._bundles: Dict[tuple, _PoolBundle] = {}
@@ -237,8 +236,6 @@ class Ranker:
         return {
             "static_pools": len(self._static_pools),
             "bundles": len(self._bundles),
-            "jitter_units": len(self._jitter_units),
-            "skew_units": len(self._skew_units),
             "jitter_vecs": len(self._jitter_vecs),
             "skew_vecs": len(self._skew_vecs),
             "suggestions": len(self._suggestion_cache),
@@ -260,8 +257,6 @@ class Ranker:
         self._state_cache.clear()
         self._maps_cache.clear()
         self._news_cache.clear()
-        self._jitter_units.clear()
-        self._skew_units.clear()
         self._bundles.clear()
         self._jitter_vecs.clear()
         self._skew_vecs.clear()
@@ -270,20 +265,6 @@ class Ranker:
         self._knowledge_cards.clear()
         self._hits = 0
         self._misses = 0
-
-    def cache_bytes(self) -> int:
-        """Rough resident size of the memo layer (diagnostics only)."""
-        total = 0
-        for memo in (
-            self._static_pools,
-            self._jitter_units,
-            self._skew_units,
-            self._jitter_vecs,
-            self._skew_vecs,
-            self._suggestion_cache,
-        ):
-            total += sys.getsizeof(memo)
-        return total
 
     # -- fast path -----------------------------------------------------------
 
@@ -431,19 +412,9 @@ class Ranker:
             self._hits += 1
             return vec
         self._misses += 1
-        units = self._jitter_units
-        if len(units) > self.UNIT_MEMO_CAP:
-            units.clear()
-        seed = self.seed
-        values = []
-        for url in bundle.identities:
-            unit_key = (bucket, url)
-            unit = units.get(unit_key)
-            if unit is None:
-                unit = _centered("ab-jitter", seed, bucket, url)
-                units[unit_key] = unit
-            values.append(unit)
-        vec = tuple(values)
+        vec = tuple(
+            _centered_many(("ab-jitter", self.seed, bucket), bundle.identities)
+        )
         if len(self._jitter_vecs) > self.VEC_MEMO_CAP:
             self._jitter_vecs.clear()
         self._jitter_vecs[key] = vec
@@ -458,19 +429,9 @@ class Ranker:
             self._hits += 1
             return vec
         self._misses += 1
-        units = self._skew_units
-        if len(units) > self.UNIT_MEMO_CAP:
-            units.clear()
-        seed = self.seed
-        values = []
-        for url in bundle.identities:
-            unit_key = (datacenter, url)
-            unit = units.get(unit_key)
-            if unit is None:
-                unit = _centered("dc-skew", seed, datacenter, url)
-                units[unit_key] = unit
-            values.append(unit)
-        vec = tuple(values)
+        vec = tuple(
+            _centered_many(("dc-skew", self.seed, datacenter), bundle.identities)
+        )
         if len(self._skew_vecs) > self.VEC_MEMO_CAP:
             self._skew_vecs.clear()
         self._skew_vecs[key] = vec
@@ -527,46 +488,51 @@ class Ranker:
                 limit=cal.poi_candidate_limit,
             )
         )
+        # Each term family is drawn in one batch; a document's terms are
+        # then added in a fixed order (index bias, then geo decay or
+        # state and metro keying), so every score is bit-stable.
+        seed = self.seed
+        urls = [doc.identity for doc in candidates]
+        national = [
+            doc.identity for doc in candidates if doc.scope is GeoScope.NATIONAL
+        ]
+        biases = iter(
+            _centered_many(("index-bias", seed), urls) if cal.index_bias else ()
+        )
+        state_units = iter(_centered_many(("state-perturb", seed), national, (state,)))
+        metro_units = iter(
+            _centered_many(("metro-perturb", seed), national, (metro.ix, metro.iy))
+        )
+        amp_state, amp_metro = self._perturb_amplitudes(query)
         # Deduplicate by URL, keeping the best-scoring instance: two
         # nearby POIs can legitimately share a canonical URL (e.g. the
         # same business straddling a cell boundary), and an index serves
         # one entry per URL.
         best: dict = {}
-        for doc in candidates:
-            score = self._static_score(doc, query, snapped, state, metro)
-            existing = best.get(doc.identity)
+        for doc, url in zip(candidates, urls):
+            score = doc.base_score
+            if cal.index_bias:
+                # This engine's crawl/scoring idiosyncrasy for the document.
+                score += cal.index_bias * next(biases)
+            if doc.scope is GeoScope.POINT:
+                assert doc.anchor is not None
+                if doc.kind is DocKind.LOCAL_BUSINESS:
+                    distance = self.world.grid.distance_miles(snapped, doc.anchor)
+                    score -= cal.poi_distance_penalty_per_mile * distance
+                else:
+                    distance = haversine_miles(snapped, doc.anchor)
+                    score -= cal.ambiguity_decay_per_mile * distance
+            elif doc.scope is GeoScope.NATIONAL:
+                score += amp_state * next(state_units)
+                score += amp_metro * next(metro_units)
+            existing = best.get(url)
             if existing is None or score > existing[1]:
-                best[doc.identity] = (doc, score)
+                best[url] = (doc, score)
         pool = list(best.values())
         if len(self._static_pools) > self.POOL_MEMO_CAP:
             self._static_pools.clear()
         self._static_pools[key] = pool
         return pool
-
-    def _static_score(
-        self, doc: Document, query: Query, snapped: LatLon, state: str, metro
-    ) -> float:
-        cal = self.calibration
-        score = doc.base_score
-        url = doc.identity
-        if cal.index_bias:
-            # This engine's crawl/scoring idiosyncrasy for the document.
-            score += cal.index_bias * _centered("index-bias", self.seed, url)
-        if doc.scope is GeoScope.POINT:
-            assert doc.anchor is not None
-            if doc.kind is DocKind.LOCAL_BUSINESS:
-                distance = self.world.grid.distance_miles(snapped, doc.anchor)
-                score -= cal.poi_distance_penalty_per_mile * distance
-            else:
-                distance = haversine_miles(snapped, doc.anchor)
-                score -= cal.ambiguity_decay_per_mile * distance
-        elif doc.scope is GeoScope.NATIONAL:
-            amp_state, amp_metro = self._perturb_amplitudes(query)
-            score += amp_state * _centered("state-perturb", self.seed, url, state)
-            score += amp_metro * _centered(
-                "metro-perturb", self.seed, url, metro.ix, metro.iy
-            )
-        return score
 
     def _history_entries(
         self, query: Query, pool: List[tuple], ctx: RankingContext
@@ -600,18 +566,10 @@ class Ranker:
             if doc.scope in (GeoScope.POINT, GeoScope.CITY)
             else cal.ab_jitter_national
         )
-        jitter_key = (ctx.bucket, url)
-        jitter_unit = self._jitter_units.get(jitter_key)
-        if jitter_unit is None:
-            jitter_unit = _centered("ab-jitter", self.seed, ctx.bucket, url)
-            self._jitter_units[jitter_key] = jitter_unit
-        score = jitter_amp * jitter_unit
-        skew_key = (ctx.datacenter, url)
-        skew_unit = self._skew_units.get(skew_key)
-        if skew_unit is None:
-            skew_unit = _centered("dc-skew", self.seed, ctx.datacenter, url)
-            self._skew_units[skew_key] = skew_unit
-        score += cal.datacenter_skew * skew_unit
+        score = jitter_amp * _centered("ab-jitter", self.seed, ctx.bucket, url)
+        score += cal.datacenter_skew * _centered(
+            "dc-skew", self.seed, ctx.datacenter, url
+        )
         if ctx.session_slugs and any(slug in url for slug in ctx.session_slugs):
             score += cal.session_boost
         return score

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.queries.model import Query, QueryCategory
-from repro.seeding import stable_hash
+from repro.seeding import stable_hashes
 from repro.web.grid import GridCell
 from repro.web.naming import city_name
 
@@ -87,7 +87,8 @@ def related_searches(
         raise ValueError(f"count must be positive, got {count}")
     term = query.text.lower()
     if query.category is QueryCategory.LOCAL:
-        pool = [t.format(term=term, city=city_name(metro), state=state)
+        city = city_name(metro)
+        pool = [t.format(term=term, city=city, state=state)
                 for t in _GENERIC_TEMPLATES + _LOCAL_PLACE_TEMPLATES]
         location_weight = 1.0
     elif query.category is QueryCategory.POLITICIAN:
@@ -99,14 +100,15 @@ def related_searches(
         pool = [t.format(term=term) for t in _INFO_TEMPLATES]
         location_weight = 0.1
 
-    def rank_key(suggestion: str) -> float:
-        base = stable_hash("suggestion-base", seed, query.key, suggestion) % 1000
-        local = (
-            stable_hash("suggestion-local", seed, query.key, suggestion, state,
-                        metro.ix, metro.iy)
-            % 1000
-        )
-        return base + location_weight * local
-
-    ranked = sorted(pool, key=rank_key)
+    # Rank key per suggestion: base + location_weight * local, each a
+    # hash of the suggestion drawn in one batch per family.
+    bases = stable_hashes(("suggestion-base", seed, query.key), pool)
+    locals_ = stable_hashes(
+        ("suggestion-local", seed, query.key), pool, (state, metro.ix, metro.iy)
+    )
+    rank_key = {
+        suggestion: base % 1000 + location_weight * (local % 1000)
+        for suggestion, base, local in zip(pool, bases, locals_)
+    }
+    ranked = sorted(pool, key=rank_key.__getitem__)
     return ranked[:count]

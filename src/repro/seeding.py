@@ -17,10 +17,17 @@ for this purpose; everything here goes through :func:`hashlib.sha256`.
 
 Hot path
 --------
-The ranker calls :func:`stable_hash` / :func:`stable_unit` per
-(document, request) term — the innermost loop of a crawl.  Two LRU
-caches keep that loop off the SHA-256 treadmill without changing a
-single digest:
+The ranker draws one score term per document from a label path that
+differs only in the document (``("ab-jitter", seed, bucket, url)``,
+``("state-perturb", seed, url, state)``, ...), and the suggestion
+strip one rank key per suggestion.  Such multi-draw sites call
+:func:`stable_hashes`: it takes the shared head's hasher state once,
+encodes the shared tail once, and per value does one copy, one update
+and one digest.  Their keys almost never repeat, so it leaves no
+result-cache entry behind.
+
+Single draws (request nonces, probability gates, :func:`derive_seed`)
+still go through two LRU caches, without changing a single digest:
 
 * a **result cache** keyed on the raw part tuple (``typed=True`` keeps
   ``1`` / ``True`` / ``1.0`` distinct, matching the canonical type
@@ -29,7 +36,8 @@ single digest:
 * a **prefix-state cache** holding the hasher state for every proper
   prefix, so even a call whose last component is unique (a per-request
   nonce) only encodes and hashes that final component — the shared
-  prefix is a cache hit plus a ``.copy()``.
+  prefix is a cache hit plus a ``.copy()``.  :func:`stable_hashes`
+  takes its head's state from this cache too.
 """
 
 from __future__ import annotations
@@ -37,12 +45,13 @@ from __future__ import annotations
 import hashlib
 import random
 from functools import lru_cache
-from typing import Union
+from typing import Iterable, List, Sequence, Union
 
 __all__ = [
     "derive_seed",
     "derive_rng",
     "stable_hash",
+    "stable_hashes",
     "stable_unit",
     "digest_cache_info",
     "clear_digest_cache",
@@ -59,14 +68,16 @@ def _encode_part(part: _SeedPart) -> bytes:
 
     Types are tagged so that ``derive_seed(s, 1)`` and
     ``derive_seed(s, "1")`` differ, and floats are serialised via
-    ``repr`` which round-trips exactly in Python 3.
+    ``repr`` which round-trips exactly in Python 3.  ``-0.0`` encodes
+    as ``0.0``: the caches match parts by equality, and ``-0.0 == 0.0``,
+    so distinct encodings would make a draw depend on call order.
     """
     if isinstance(part, bool):  # must precede int: bool is an int subclass
         return b"b:" + (b"1" if part else b"0")
     if isinstance(part, int):
         return b"i:" + str(part).encode("ascii")
     if isinstance(part, float):
-        return b"f:" + repr(part).encode("ascii")
+        return b"f:" + repr(part + 0.0).encode("ascii")
     if isinstance(part, str):
         return b"s:" + part.encode("utf-8")
     raise TypeError(f"unsupported seed path component: {part!r}")
@@ -136,6 +147,27 @@ def stable_hash(*parts: _SeedPart) -> int:
     a shard, or tie-breaking two documents with equal scores.
     """
     return _digest64(_HASH_TAG, *parts)
+
+
+def stable_hashes(
+    head: Sequence[_SeedPart],
+    varying: Iterable[_SeedPart],
+    tail: Sequence[_SeedPart] = (),
+) -> List[int]:
+    """``[stable_hash(*head, v, *tail) for v in varying]``, batched.
+
+    The head's hasher state comes from the prefix cache once and the
+    tail is encoded once; each value then costs one copy, one update
+    and one digest, and adds no result-cache entry.
+    """
+    base = _prefix_state(_HASH_TAG, *head)
+    suffix = b"".join(b"\x00" + _encode_part(part) for part in tail)
+    digests = []
+    for value in varying:
+        hasher = base.copy()
+        hasher.update(b"\x00" + _encode_part(value) + suffix)
+        digests.append(int.from_bytes(hasher.digest()[:8], "big"))
+    return digests
 
 
 def stable_unit(*parts: _SeedPart) -> float:

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.engine.calibration import EngineCalibration
-from repro.engine.ranking import Ranker, RankingContext
+from repro.engine.ranking import Ranker, RankingContext, _centered
 from repro.engine.render import render_page
 from repro.engine.serp import CardType
-from repro.geo.coords import LatLon
+from repro.geo.coords import LatLon, haversine_miles
 from repro.queries.corpus import build_corpus
+from repro.seeding import clear_digest_cache, digest_cache_info
+from repro.web.documents import DocKind, GeoScope
 from repro.web.world import WebWorld
 
 CLEVELAND = LatLon(41.4993, -81.6944)
@@ -28,6 +30,8 @@ def queries():
         "controversial": corpus.get("Gay Marriage"),
         "politician": corpus.get("Barack Obama"),
         "common": corpus.get("Bill Johnson"),
+        # No News card at day 0 in world 808.
+        "quiet-politician": corpus.get("Mazie Gibbs"),
     }
 
 
@@ -128,6 +132,108 @@ class TestStaticScoring:
         shared = set(pool_a) & set(pool_b)
         assert shared
         assert any(abs(pool_a[url] - pool_b[url]) > 0.05 for url in shared)
+
+
+def _static_score_oracle(ranker, doc, query, snapped, state, metro):
+    """One document's static score, one hash draw per term: the oracle
+    for the batched draws of ``Ranker._static_pool``."""
+    cal = ranker.calibration
+    score = doc.base_score
+    url = doc.identity
+    if cal.index_bias:
+        score += cal.index_bias * _centered("index-bias", ranker.seed, url)
+    if doc.scope is GeoScope.POINT:
+        if doc.kind is DocKind.LOCAL_BUSINESS:
+            distance = ranker.world.grid.distance_miles(snapped, doc.anchor)
+            score -= cal.poi_distance_penalty_per_mile * distance
+        else:
+            distance = haversine_miles(snapped, doc.anchor)
+            score -= cal.ambiguity_decay_per_mile * distance
+    elif doc.scope is GeoScope.NATIONAL:
+        amp_state, amp_metro = ranker._perturb_amplitudes(query)
+        score += amp_state * _centered("state-perturb", ranker.seed, url, state)
+        score += amp_metro * _centered(
+            "metro-perturb", ranker.seed, url, metro.ix, metro.iy
+        )
+    return score
+
+
+def _static_pool_oracle(ranker, query, snapped, state, metro):
+    """The static pool scored document by document, best per URL."""
+    cal = ranker.calibration
+    world = ranker.world
+    candidates = [
+        *world.universal_candidates(query),
+        *world.state_candidates(query, state),
+        *world.city_candidates(query, metro),
+        *world.ambiguity_candidates(query),
+        *world.poi_candidates(
+            query,
+            snapped,
+            radius_miles=cal.poi_radius_miles,
+            limit=cal.poi_candidate_limit,
+        ),
+    ]
+    best = {}
+    for doc in candidates:
+        score = _static_score_oracle(ranker, doc, query, snapped, state, metro)
+        existing = best.get(doc.identity)
+        if existing is None or score > existing[1]:
+            best[doc.identity] = (doc, score)
+    return list(best.values())
+
+
+class TestBatchedDraws:
+    """Every batched hash draw against its one-draw-per-term oracle."""
+
+    PLACES = (
+        CLEVELAND,
+        AUSTIN,
+        LatLon(40.7128, -74.0060),
+        LatLon(47.6062, -122.3321),
+        LatLon(39.7392, -104.9903),
+    )
+
+    @pytest.mark.parametrize("index_bias", [0.0, 0.7])
+    @pytest.mark.parametrize(
+        "name", ["generic", "brand", "controversial", "politician", "common"]
+    )
+    def test_static_pool_matches_per_document_scores(
+        self, ranker_world, queries, name, index_bias
+    ):
+        query = queries[name]
+        ranker = _ranker(ranker_world, index_bias=index_bias)
+        states = set()
+        for place in self.PLACES:
+            snapped = ranker._snap_grid.snap(place)
+            state = ranker._nearest_state(snapped)
+            metro = ranker_world.metro_grid.cell_of(snapped)
+            states.add(state)
+            pool = ranker._static_pool(query, snapped, state, metro)
+            assert pool == _static_pool_oracle(ranker, query, snapped, state, metro)
+        assert len(states) == len(self.PLACES)
+
+    @pytest.mark.parametrize("name", ["generic", "controversial", "politician"])
+    def test_unit_vectors_match_per_document_draws(self, ranker_world, queries, name):
+        query = queries[name]
+        ranker = _ranker(ranker_world)
+        for place in self.PLACES[:2]:
+            snapped = ranker._snap_grid.snap(place)
+            state = ranker._nearest_state(snapped)
+            metro = ranker_world.metro_grid.cell_of(snapped)
+            bundle = ranker._bundle(query, snapped, state, metro)
+            for bucket in (0, 3):
+                assert ranker._jitter_vec(query.key, snapped, bucket, bundle) == tuple(
+                    _centered("ab-jitter", ranker.seed, bucket, url)
+                    for url in bundle.identities
+                )
+            for datacenter in ("dc00", "dc07"):
+                assert ranker._skew_vec(
+                    query.key, snapped, datacenter, bundle
+                ) == tuple(
+                    _centered("dc-skew", ranker.seed, datacenter, url)
+                    for url in bundle.identities
+                )
 
 
 class TestDynamicScoring:
@@ -360,7 +466,6 @@ class TestRankerCaches:
         capped = _ranker(WebWorld(808), maps_prob_generic=1.0)
         capped.world.pois.CELL_MEMO_CAP = 0
         for cap in (
-            "UNIT_MEMO_CAP",
             "VEC_MEMO_CAP",
             "POOL_MEMO_CAP",
             "MAPS_MEMO_CAP",
@@ -368,6 +473,7 @@ class TestRankerCaches:
             "SUGGESTION_MEMO_CAP",
             "NEWS_MEMO_CAP",
         ):
+            assert hasattr(Ranker, cap), cap  # a stale name would override nothing
             setattr(capped, cap, 0)  # instance override: clear on every overflow
         memos = (
             "_jitter_vecs",
@@ -416,6 +522,24 @@ class TestRankerCaches:
             assert len(getattr(unbounded, name)) == len(places), name
         assert len(unbounded._news_cache) == 3 * len(places)
         assert len(unbounded.world.pois._cache) > len(places)
+
+    @pytest.mark.parametrize("name", ["brand", "controversial", "quiet-politician"])
+    def test_cold_page_adds_at_most_two_digest_entries(
+        self, ranker_world, queries, name
+    ):
+        # Batched draws (static terms, jitter, skew, suggestion ranks)
+        # leave no digest-cache entry.  A second seed over the built
+        # world rebuilds every one of them; only single draws remain,
+        # such as the Maps gate, the city name, or the News gate.
+        query = queries[name]
+        ctx = _ctx(CLEVELAND)
+        _ranker(ranker_world).build_page(query, ctx)
+        clear_digest_cache()
+        page = Ranker(ranker_world, EngineCalibration(), seed=809).build_page(
+            query, ctx
+        )
+        assert page.card_count(CardType.NEWS) == 0
+        assert digest_cache_info()["digest"]["currsize"] <= 2
 
     def test_prewarm_fills_only_pure_memos(self, ranker_world, queries):
         query = queries["generic"]

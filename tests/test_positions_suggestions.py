@@ -3,9 +3,45 @@
 import pytest
 
 from repro.core.positions import PositionalAnalysis
-from repro.engine.suggestions import related_searches
+from repro.engine.suggestions import (
+    _GENERIC_TEMPLATES,
+    _INFO_TEMPLATES,
+    _LOCAL_PLACE_TEMPLATES,
+    _PERSON_TEMPLATES,
+    related_searches,
+)
 from repro.queries.corpus import build_corpus
+from repro.queries.model import QueryCategory
+from repro.seeding import stable_hash
 from repro.web.grid import GridCell
+from repro.web.naming import city_name
+
+
+def _related_searches_oracle(query, state, metro, *, seed):
+    """The whole ranked pool, one hash draw per rank-key term: the
+    oracle for the batched draws of ``related_searches``."""
+    term = query.text.lower()
+    if query.category is QueryCategory.LOCAL:
+        pool = [t.format(term=term, city=city_name(metro), state=state)
+                for t in _GENERIC_TEMPLATES + _LOCAL_PLACE_TEMPLATES]
+        location_weight = 1.0
+    elif query.category is QueryCategory.POLITICIAN:
+        pool = [t.format(term=query.text) for t in _PERSON_TEMPLATES]
+        location_weight = 0.0
+    else:
+        pool = [t.format(term=term) for t in _INFO_TEMPLATES]
+        location_weight = 0.1
+
+    def rank_key(suggestion):
+        base = stable_hash("suggestion-base", seed, query.key, suggestion) % 1000
+        local = (
+            stable_hash("suggestion-local", seed, query.key, suggestion, state,
+                        metro.ix, metro.iy)
+            % 1000
+        )
+        return base + location_weight * local
+
+    return sorted(pool, key=rank_key)
 
 
 class TestRelatedSearches:
@@ -18,6 +54,23 @@ class TestRelatedSearches:
             "controversial": corpus.get("Gun Control"),
             "politician": corpus.get("Barack Obama"),
         }
+
+    @pytest.mark.parametrize("name", ["local", "brand", "controversial", "politician"])
+    def test_ranking_matches_per_suggestion_draws(self, queries, name):
+        query = queries[name]
+        places = [
+            ("Ohio", GridCell(10, 20)),
+            ("Texas", GridCell(900, 400)),
+            ("Ohio", GridCell(-548, 357)),
+            ("New York", GridCell(0, 0)),
+        ]
+        for seed in (1, 808):
+            for state, metro in places:
+                expected = _related_searches_oracle(query, state, metro, seed=seed)
+                assert related_searches(
+                    query, state, metro, seed=seed, count=len(expected)
+                ) == expected
+                assert related_searches(query, state, metro, seed=seed) == expected[:6]
 
     def test_deterministic(self, queries):
         cell = GridCell(10, 20)
