@@ -53,9 +53,10 @@ def prewarm_round(study, query, treatments: Sequence) -> None:
     """Build the shared static state for one round ahead of serving.
 
     ``treatments`` is the subset of the study's treatments this caller
-    will actually crawl (a worker passes its shard, the sequential loop
-    passes everything) — warming cells another shard owns would
-    duplicate exactly the work sharding is meant to split.
+    will actually crawl (:meth:`Study.run_shard` passes its shard:
+    every treatment in-process, a worker's own in a parallel run) —
+    warming cells another shard owns would duplicate exactly the work
+    sharding is meant to split.
     """
     ranker = study.engine.ranker
     datacenters = [datacenter.name for datacenter in study.cluster]

@@ -27,6 +27,13 @@ FailureKind` taxonomy, retries follow a shared capped-backoff
 machine trip a per-IP circuit breaker, and ``run(checkpoint=path)``
 journals each round so a killed crawl resumes byte-identically.
 
+One loop crawls the schedule, :meth:`Study.run_shard`: the in-process
+run is one shard of every treatment, and each worker of a parallel run
+(:mod:`repro.parallel`) crawls its own shard.  One :class:`RoundMerge`
+per run releases each finished round in one order — journal, trace,
+wide events, then the failure log, dataset, and sink — whichever loop
+or worker produced it.
+
 The result is a :class:`SerpDataset` the analysis modules consume.
 """
 
@@ -75,6 +82,7 @@ __all__ = [
     "Study",
     "CrawlFailure",
     "CrawlStats",
+    "RoundMerge",
     "ScheduledRound",
     "serialize_outcome",
     "deserialize_outcome",
@@ -185,6 +193,152 @@ def deserialize_outcome(payload: dict) -> Union[SerpRecord, CrawlFailure]:
     if "f" in payload:
         return CrawlFailure(**payload["f"])
     return SerpRecord.from_dict(payload["r"])
+
+
+class RoundMerge:
+    """Where one run's finished rounds are released, in one order.
+
+    The merge owns the run's checkpoint journal, trace and wide-event
+    builders, dataset, and sink.  :meth:`commit` takes one round's
+    ``(treatment_index, SerpRecord | CrawlFailure)`` pairs, every
+    treatment in ascending order, and makes the round durable in the
+    journal, writes its spans to the trace, emits its crawl events,
+    and only then releases it to ``study.failures``, the dataset, and
+    the sink — so a kill at any instant loses no acknowledged record,
+    and the trace and event log a failing sink leaves behind do not
+    depend on the worker count.  The in-process run and the parallel
+    executor both commit here.
+    """
+
+    def __init__(
+        self,
+        study: Study,
+        *,
+        sink=None,
+        checkpoint: Optional[str] = None,
+        trace: Optional[str] = None,
+        events: Optional[str] = None,
+    ) -> None:
+        if trace is not None and checkpoint is not None:
+            raise ValueError(
+                "trace and checkpoint cannot be combined: the checkpoint "
+                "journal does not carry spans, so a resumed run could not "
+                "rebuild the rounds crawled before the kill"
+            )
+        self.study = study
+        self.sink = sink
+        self.dataset = SerpDataset()
+        self.journal: Optional[CheckpointWriter] = None
+        self.trace = None
+        self.events = None
+        self._paths = (checkpoint, trace, events)
+
+    def open(self, shards: Sequence[Sequence[int]]) -> ResumeState:
+        """Open the logs and the journal for a run dealt as ``shards``.
+
+        ``shards`` holds each worker's treatment indices.  Opening the
+        trace enables the study's tracer.  A fresh journal gets a
+        header recording the shards; an existing one is checked against
+        the study and that layout, truncated to its durable prefix, and
+        each journalled round is released again in schedule order, so
+        the dataset, sink, failure log, and event log catch up before
+        crawling resumes.  Returns the resume point (``next_ordinal``
+        plus every shard's state), empty unless a journal was resumed.
+        """
+        checkpoint, trace, events = self._paths
+        study = self.study
+        if trace is not None:
+            from repro.obs.exporters import TraceBuilder
+            from repro.obs.replay import GatewayReplay
+
+            fingerprint = study.checkpoint_fingerprint()
+            trace_id = trace_id_for(fingerprint)
+            study.tracer.enable(trace_id)
+            self.trace = TraceBuilder(
+                trace,
+                trace_id=trace_id,
+                meta=fingerprint,
+                replay=GatewayReplay.from_study(study),
+            )
+        if events is not None:
+            from repro.obs.events import CrawlEventBuilder
+
+            self.events = CrawlEventBuilder(events, study=study)
+        if checkpoint is None:
+            return ResumeState()
+        fingerprint = study.checkpoint_fingerprint()
+        resume = load_checkpoint(
+            checkpoint, expected_fingerprint=fingerprint, shards=shards
+        )
+        if resume is None:
+            header = {
+                "version": CHECKPOINT_VERSION,
+                "shards": [list(shard) for shard in shards],
+                "fingerprint": fingerprint,
+            }
+            self.journal = CheckpointWriter.create(checkpoint, header)
+            return ResumeState()
+        for ordinal, outcomes in enumerate(resume.rounds):
+            self._release(
+                ordinal,
+                list(enumerate(deserialize_outcome(payload) for payload in outcomes)),
+            )
+        self.journal = CheckpointWriter.append_to(checkpoint)
+        return resume
+
+    def commit(
+        self,
+        ordinal: int,
+        outcomes: List[Tuple[int, Union[SerpRecord, CrawlFailure]]],
+        states: Optional[Dict[int, dict]] = None,
+        spans: Optional[List[dict]] = None,
+    ) -> None:
+        """Release round ``ordinal``'s ``(treatment_index, outcome)`` pairs.
+
+        ``states`` maps each shard to its snapshot (journalled runs);
+        ``spans`` holds the round's span trees (traced runs).
+        """
+        if self.journal is not None:
+            self.journal.append_round(
+                ordinal, [serialize_outcome(outcome) for _, outcome in outcomes], states
+            )
+        if self.trace is not None:
+            self.trace.add_round(ordinal, spans)
+        self._release(ordinal, outcomes)
+
+    def _release(self, ordinal: int, outcomes) -> None:
+        """One round to the event log, then the failures, dataset, and sink."""
+        if self.events is not None:
+            self.events.add_round(ordinal, outcomes)
+        for _, outcome in outcomes:
+            if isinstance(outcome, CrawlFailure):
+                self.study.failures.append(outcome)
+                continue
+            self.dataset.add(outcome)
+            if self.sink is not None:
+                self.sink(outcome)
+
+    def close(self, ledger=None) -> None:
+        """Close the journal and logs, and disable the tracer.
+
+        ``ledger``, a supervised run's
+        :class:`~repro.supervise.stats.SupervisorReport`, ends the trace
+        with its recovery events as ``supervisor.*`` spans under the
+        study root.
+        """
+        if self.journal is not None:
+            self.journal.close()
+        if self.trace is not None:
+            if ledger is not None and ledger.events:
+                self.trace.add_trees(
+                    ledger.trace_trees(
+                        self.trace.trace_id, self.study.tracer.study_span_id()
+                    )
+                )
+            self.trace.close()
+            self.study.tracer.disable()
+        if self.events is not None:
+            self.events.close()
 
 
 class Study:
@@ -305,7 +459,6 @@ class Study:
         # SupervisorReport (counters + recovery ledger).  Kept as a
         # plain attribute so this module never imports the supervisor.
         self.supervisor = None
-        self._sink = None
 
     # -- construction ----------------------------------------------------------
 
@@ -349,6 +502,11 @@ class Study:
     ) -> SerpDataset:
         """Execute the full schedule and return the collected dataset.
 
+        The in-process run is :meth:`run_shard` over every treatment;
+        either way each round is released through one
+        :class:`RoundMerge`, so the journal, trace, event log, and
+        sink see rounds in the same order at any worker count.
+
         Args:
             sink: Optional callable receiving each :class:`SerpRecord`
                 as it is collected (e.g.
@@ -372,9 +530,11 @@ class Study:
                 ``supervise`` need not, and composes with it.
             trace: Optional path for a canonical JSONL trace (see
                 :mod:`repro.obs`).  The trace file is byte-identical
-                for any ``workers`` count.  Cannot be combined with
-                ``checkpoint`` — the journal does not carry spans, so a
-                resumed trace would silently miss its earlier rounds.
+                for any ``workers`` count; a supervised run's recovery
+                events end it as ``supervisor.*`` spans.  Cannot be
+                combined with ``checkpoint`` — the journal does not
+                carry spans, so a resumed trace would silently miss its
+                earlier rounds.
             events: Optional path for the canonical wide-event log (see
                 :mod:`repro.obs.events`): one ``crawl`` event per
                 (round, treatment) cell.  Events are synthesized from
@@ -395,12 +555,6 @@ class Study:
         """
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if trace is not None and checkpoint is not None:
-            raise ValueError(
-                "trace and checkpoint cannot be combined: the checkpoint "
-                "journal does not carry spans, so a resumed run could not "
-                "rebuild the rounds crawled before the kill"
-            )
         if workers > 1 or supervise:
             from repro.parallel import run_parallel
 
@@ -413,125 +567,35 @@ class Study:
                 events=events,
                 supervise=supervise,
             )
-        dataset = SerpDataset()
-        self._sink = sink
-        builder = self._trace_builder(trace) if trace is not None else None
-        event_builder = (
-            self._events_builder(events) if events is not None else None
+        merge = RoundMerge(
+            self, sink=sink, checkpoint=checkpoint, trace=trace, events=events
         )
+        shard = list(range(len(self.treatments)))
+
+        def commit(ordinal: int, outcomes, state, spans) -> None:
+            states = None if state is None else {0: state}
+            merge.commit(ordinal, outcomes, states, spans)
+
         try:
-            if checkpoint is not None:
-                return self._run_checkpointed(dataset, checkpoint, event_builder)
-            for scheduled in self.iter_rounds():
-                outcomes = self._run_round(dataset, scheduled)
-                if builder is not None:
-                    builder.add_round(scheduled.ordinal, self.tracer.drain())
-                if event_builder is not None:
-                    event_builder.add_round(
-                        scheduled.ordinal, list(enumerate(outcomes))
-                    )
+            resume = merge.open([shard])
+            if resume.next_ordinal > 0:
+                self.restore_state(resume.worker_states[0])
+            self.run_shard(
+                shard,
+                on_round=commit,
+                start_ordinal=resume.next_ordinal,
+                capture_state=checkpoint is not None,
+                trace=trace is not None,
+            )
         finally:
-            if builder is not None:
-                builder.close()
-                self.tracer.disable()
-            if event_builder is not None:
-                event_builder.close()
-            self._sink = None
-        return dataset
-
-    def _trace_builder(self, path: str):
-        """Enable the tracer and open the canonical trace file at ``path``."""
-        from repro.obs.exporters import TraceBuilder
-        from repro.obs.replay import GatewayReplay
-
-        fingerprint = self.checkpoint_fingerprint()
-        trace_id = trace_id_for(fingerprint)
-        self.tracer.enable(trace_id)
-        return TraceBuilder(
-            path,
-            trace_id=trace_id,
-            meta=fingerprint,
-            replay=GatewayReplay.from_study(self),
-        )
-
-    def _events_builder(self, path: str):
-        """Open the canonical wide-event log at ``path`` for this study."""
-        from repro.obs.events import CrawlEventBuilder
-
-        return CrawlEventBuilder(path, study=self)
+            merge.close()
+        return merge.dataset
 
     def metrics_registry(self, *, include_caches: bool = False):
         """This study's stats, bound into a :class:`MetricsRegistry`."""
         from repro.obs.metrics import build_study_registry
 
         return build_study_registry(self, include_caches=include_caches)
-
-    def _open_journal(
-        self, path: str, shards: Sequence[Sequence[int]], replay
-    ) -> Tuple[CheckpointWriter, ResumeState]:
-        """Open the round journal at ``path`` for a run dealt as ``shards``.
-
-        ``shards`` holds each worker's treatment indices.  A fresh file
-        gets a header recording them; an existing journal is checked
-        against this study and that layout, truncated to its durable
-        prefix, and each journalled round is handed to
-        ``replay(ordinal, outcomes)`` in schedule order, so the caller's
-        dataset, sink, failure log, and event log catch up before
-        crawling resumes.  Returns the writer
-        and the resume point (``next_ordinal`` plus every shard's
-        state), which is empty for a fresh journal.  The sequential run
-        and the parallel executor both open journals here.
-        """
-        fingerprint = self.checkpoint_fingerprint()
-        resume = load_checkpoint(
-            path, expected_fingerprint=fingerprint, shards=shards
-        )
-        if resume is None:
-            header = {
-                "version": CHECKPOINT_VERSION,
-                "shards": [list(shard) for shard in shards],
-                "fingerprint": fingerprint,
-            }
-            return CheckpointWriter.create(path, header), ResumeState()
-        for ordinal, outcomes in enumerate(resume.rounds):
-            replay(ordinal, [deserialize_outcome(payload) for payload in outcomes])
-        return CheckpointWriter.append_to(path), resume
-
-    def _run_checkpointed(
-        self, dataset: SerpDataset, path: str, event_builder=None
-    ) -> SerpDataset:
-        """Sequential run with a durable round journal (see :meth:`run`)."""
-
-        def release(ordinal: int, outcomes) -> None:
-            self._commit_outcomes(dataset, outcomes)
-            if event_builder is not None:
-                event_builder.add_round(ordinal, list(enumerate(outcomes)))
-
-        writer, resume = self._open_journal(
-            path, [range(len(self.treatments))], release
-        )
-        if resume.next_ordinal > 0:
-            self.restore_state(resume.worker_states[0])
-        try:
-            for scheduled in self.iter_rounds():
-                if scheduled.ordinal < resume.next_ordinal:
-                    continue
-                outcomes = [
-                    self._crawl_treatment(index, treatment, scheduled)
-                    for index, treatment in enumerate(self.treatments)
-                ]
-                # Durable-then-release: the journal line hits disk
-                # before the outcomes reach the dataset or sink, so a
-                # kill at any instant loses no acknowledged record.
-                writer.append_round(
-                    scheduled.ordinal,
-                    [serialize_outcome(outcome) for outcome in outcomes],
-                    {0: self.capture_state(scheduled.timestamp)},
-                )
-                release(scheduled.ordinal, outcomes)
-        finally:
-            writer.close()
-        return dataset
 
     def iter_rounds(self) -> Iterator[ScheduledRound]:
         """The study schedule as a flat, ordered stream of rounds.
@@ -574,35 +638,6 @@ class Study:
 
         return prewarm_study(self)
 
-    def _run_round(
-        self, dataset: SerpDataset, scheduled: ScheduledRound
-    ) -> List[Union[SerpRecord, CrawlFailure]]:
-        """One lock-step round: every treatment runs the query at once."""
-        from repro.batch import prewarm_round
-
-        prewarm_round(self, scheduled.query, self.treatments)
-        self.tracer.begin_round(scheduled.ordinal)
-        outcomes = [
-            self._crawl_treatment(index, treatment, scheduled)
-            for index, treatment in enumerate(self.treatments)
-        ]
-        self._commit_outcomes(dataset, outcomes)
-        return outcomes
-
-    def _commit_outcomes(
-        self,
-        dataset: SerpDataset,
-        outcomes: List[Union[SerpRecord, CrawlFailure]],
-    ) -> None:
-        """Release one round's outcomes to the failure log, dataset, sink."""
-        for outcome in outcomes:
-            if isinstance(outcome, CrawlFailure):
-                self.failures.append(outcome)
-                continue
-            dataset.add(outcome)
-            if self._sink is not None:
-                self._sink(outcome)
-
     def run_shard(
         self,
         treatment_indices: List[int],
@@ -615,16 +650,17 @@ class Study:
     ) -> None:
         """Crawl only the given treatments through the full schedule.
 
-        The building block of the parallel executor: the study walks
-        :meth:`iter_rounds` exactly like a sequential run but issues
-        queries only for its shard of the treatment list, calling
-        ``on_round(ordinal, outcomes, state, spans)`` after each round
-        with the list of ``(treatment_index, SerpRecord |
-        CrawlFailure)`` in ascending treatment order.  ``state`` is
-        this shard's :meth:`capture_state` snapshot when
-        ``capture_state`` is set (checkpointed runs), else ``None``.
-        ``spans`` is the round's drained span trees when ``trace`` is
-        set, else ``None`` — span ids key on (trace id, round,
+        The one crawl loop: the in-process run calls it with every
+        treatment and each parallel worker with its own shard.  The
+        study walks :meth:`iter_rounds`, crawls each round's shard
+        (:meth:`_crawl_round`), and calls ``on_round(ordinal, outcomes,
+        state, spans)`` after each round with the list of
+        ``(treatment_index, SerpRecord | CrawlFailure)`` in ascending
+        treatment order.  ``state`` is this shard's
+        :meth:`capture_state` snapshot when ``capture_state`` is set
+        (journalled or supervised runs), else ``None``.  ``spans`` is
+        the round's drained span trees when ``trace`` is set, else
+        ``None`` — span ids key on (trace id, round,
         treatment), so trees from different shards interleave into
         exactly the sequential trace.  Rounds before ``start_ordinal``
         are skipped — the resume path, which assumes
@@ -634,26 +670,32 @@ class Study:
         called before each round is crawled — the supervisor's
         virtual-time heartbeat hook.
         """
-        from repro.batch import prewarm_round
-
         if trace:
             self.tracer.enable(trace_id_for(self.checkpoint_fingerprint()))
         shard = [(index, self.treatments[index]) for index in treatment_indices]
-        shard_treatments = [treatment for _, treatment in shard]
         for scheduled in self.iter_rounds():
             if scheduled.ordinal < start_ordinal:
                 continue
             if on_round_start is not None:
                 on_round_start(scheduled.ordinal, scheduled.timestamp)
-            prewarm_round(self, scheduled.query, shard_treatments)
-            self.tracer.begin_round(scheduled.ordinal)
-            outcomes = [
-                (index, self._crawl_treatment(index, treatment, scheduled))
-                for index, treatment in shard
-            ]
+            outcomes = self._crawl_round(scheduled, shard)
             state = self.capture_state(scheduled.timestamp) if capture_state else None
             spans = self.tracer.drain() if trace else None
             on_round(scheduled.ordinal, outcomes, state, spans)
+
+    def _crawl_round(
+        self, scheduled: ScheduledRound, shard: List[Tuple[int, _Treatment]]
+    ) -> List[Tuple[int, Union[SerpRecord, CrawlFailure]]]:
+        """One lock-step round: every ``(index, treatment)`` of ``shard``
+        runs the query at once."""
+        from repro.batch import prewarm_round
+
+        prewarm_round(self, scheduled.query, [treatment for _, treatment in shard])
+        self.tracer.begin_round(scheduled.ordinal)
+        return [
+            (index, self._crawl_treatment(index, treatment, scheduled))
+            for index, treatment in shard
+        ]
 
     def _crawl_treatment(
         self,
@@ -940,7 +982,7 @@ class Study:
         self, query: Query, *, day: int = 0
     ) -> List[Tuple[str, int, SerpRecord]]:
         """Run one query across all treatments (for examples/debugging)."""
-        dataset = SerpDataset()
-        timestamp = float(day * MINUTES_PER_DAY)
-        self._run_round(dataset, ScheduledRound(0, query, day, timestamp))
-        return [(r.location_name, r.copy_index, r) for r in dataset]
+        merge = RoundMerge(self)
+        scheduled = ScheduledRound(0, query, day, float(day * MINUTES_PER_DAY))
+        merge.commit(0, self._crawl_round(scheduled, list(enumerate(self.treatments))))
+        return [(r.location_name, r.copy_index, r) for r in merge.dataset]

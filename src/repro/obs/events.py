@@ -202,9 +202,10 @@ class CrawlEventBuilder:
     pure function of (config, schedule, outcome): the schedule dims
     come from :meth:`Study.iter_rounds`, the treatment dims from the
     study's treatment table, and the outcome from the same
-    ``(index, SerpRecord | CrawlFailure)`` stream the dataset merge
-    consumes — whether that stream arrives from the sequential loop, a
-    parallel merge, a supervised merge, or a checkpoint replay.
+    ``(index, SerpRecord | CrawlFailure)`` stream the dataset
+    consumes — every run (in-process, parallel, or supervised) and
+    every checkpoint replay feeds it through the run's
+    :class:`~repro.core.runner.RoundMerge`.
     """
 
     def __init__(self, path, *, study):

@@ -68,11 +68,11 @@ def _span_line(node: dict) -> dict:
 class TraceBuilder:
     """Streams a canonical trace file as rounds complete.
 
-    Both the sequential run loop and the parallel merge feed this one
-    code path, which is what makes ``workers=N`` traces byte-identical:
-    by the time a round reaches :meth:`add_round` its span trees are in
-    canonical treatment order regardless of which process produced
-    them.  With a :class:`~repro.obs.replay.GatewayReplay`, canonical
+    Every run's :class:`~repro.core.runner.RoundMerge`, in-process or
+    parallel, feeds this one code path, which is what makes
+    ``workers=N`` traces byte-identical: by the time a round reaches
+    :meth:`add_round` its span trees are in canonical treatment order
+    regardless of which process produced them.  With a :class:`~repro.obs.replay.GatewayReplay`, canonical
     gateway spans are synthesized here — at merge time — rather than
     recorded live (see :mod:`repro.obs.replay` for why).
     """

@@ -45,14 +45,17 @@ Design
   per-datacenter index skew keys on the DNS-resolved frontend IP;
   sessions key on per-browser cookies.  None of it depends on how
   requests from different treatments interleave.
-* **One protocol, one merge.**  Workers loop on a private command
-  queue, executing ``run`` assignments and streaming ``heartbeat`` /
-  ``round`` / ``shard-done`` / ``error`` messages over one shared
-  result queue.  The parent flushes rounds in schedule order, each
-  round's outcomes sorted by treatment index — the exact order the
-  sequential loop produces — journalling, tracing, and emitting
-  events for a round before releasing it to the dataset and sink.
-  :class:`CrawlStats` counters are sums and merge associatively.
+* **One loop, one protocol, one merge.**  Workers loop on a private
+  command queue, executing ``run`` assignments through
+  :meth:`Study.run_shard` — the loop the in-process run uses — and
+  streaming ``heartbeat`` / ``round`` / ``shard-done`` / ``error``
+  messages over one shared result queue.  The parent keeps only the
+  arrival bookkeeping: once every shard has delivered a round, it
+  sorts the outcomes by treatment index and commits the round
+  through the run's :class:`~repro.core.runner.RoundMerge`, the same
+  commit the in-process run makes — journal, trace, events, then
+  failures, dataset, and sink.  :class:`CrawlStats` counters are sums
+  and merge associatively.
 * **Recovery is a switch, not a second executor.**  With
   ``supervise=True`` a crashed, hung, or erroring worker's shard is
   re-executed from its last accepted snapshot (see
@@ -62,7 +65,7 @@ Design
   ``RuntimeError`` carrying its traceback.
 * **Checkpoints are merge-time.**  Under ``checkpoint=path`` each
   worker ships its :meth:`Study.capture_state` snapshot with every
-  round; the parent journals a round (outcomes + every shard's state)
+  round; the merge journals a round (outcomes + every shard's state)
   durably *before* releasing it to the dataset and sink.  On resume,
   every shard restores its own snapshot and re-enters the schedule at
   the first un-journalled round — a worker that had raced ahead of the
@@ -89,9 +92,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.datastore import SerpDataset, SerpRecord
-from repro.core.runner import CrawlFailure, CrawlStats, Study, serialize_outcome
-from repro.faults.checkpoint import ResumeState
+from repro.core.datastore import SerpDataset
+from repro.core.runner import CrawlFailure, CrawlStats, RoundMerge, Study
 from repro.faults.injector import FaultStats
 from repro.supervise.stats import SupervisorEvent, SupervisorReport
 from repro.supervise.supervisor import KillSpec, SupervisorPolicy
@@ -434,7 +436,7 @@ class _Executor:
         context,
         payload,
         *,
-        sink,
+        merge: RoundMerge,
         recover: bool,
         policy: SupervisorPolicy,
         kill_specs: Tuple[KillSpec, ...],
@@ -444,7 +446,7 @@ class _Executor:
         self.study = study
         self.context = context
         self.payload = payload
-        self.sink = sink
+        self.merge = merge
         self.recover = recover
         self.policy = policy
         self.kill_specs = kill_specs
@@ -463,10 +465,6 @@ class _Executor:
         self.result_queue = context.Queue(
             maxsize=plan.workers * _QUEUE_DEPTH_PER_WORKER
         )
-        self.dataset = SerpDataset()
-        self.writer = None
-        self.builder = None
-        self.event_builder = None
         # Merge state, keyed by round ordinal.  Arrivals hold shard-id
         # sets: a shard's round can arrive from any incarnation, but is
         # accepted only once.
@@ -479,22 +477,9 @@ class _Executor:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(
-        self,
-        checkpoint: Optional[str],
-        trace: Optional[str],
-        events: Optional[str],
-    ) -> None:
-        """Open the logs, replay the journal's durable prefix, hand out shards."""
-        if trace is not None:
-            self.builder = self.study._trace_builder(trace)
-        if events is not None:
-            self.event_builder = self.study._events_builder(events)
-        resume = ResumeState()
-        if checkpoint is not None:
-            self.writer, resume = self.study._open_journal(
-                checkpoint, [shard.indices for shard in self.shards], self._release
-            )
+    def start(self) -> None:
+        """Open the merge (replaying a journal's durable prefix), hand out shards."""
+        resume = self.merge.open([shard.indices for shard in self.shards])
         self.next_flush = resume.next_ordinal
         for shard in self.shards:
             shard.next_ordinal = resume.next_ordinal
@@ -564,21 +549,9 @@ class _Executor:
             )
 
     def close(self) -> None:
-        """Stop every worker, then close the journal and logs."""
+        """Stop every worker, then close the merge's journal and logs."""
         self._shutdown()
-        if self.writer is not None:
-            self.writer.close()
-        if self.builder is not None:
-            if self.report.events:
-                self.builder.add_trees(
-                    self.report.trace_trees(
-                        self.builder.trace_id, self.study.tracer.study_span_id()
-                    )
-                )
-            self.builder.close()
-            self.study.tracer.disable()
-        if self.event_builder is not None:
-            self.event_builder.close()
+        self.merge.close(self.report)
 
     def _shutdown(self) -> None:
         # Idle workers exit on command; a busy one means the run is
@@ -619,7 +592,7 @@ class _Executor:
             self.pending.setdefault(ordinal, []).extend(outcomes)
             if round_spans is not None:
                 self.spans.setdefault(ordinal, []).extend(round_spans)
-            if self.writer is not None:
+            if self.merge.journal is not None:
                 self.states.setdefault(ordinal, {})[shard_id] = state
             self.arrivals.setdefault(ordinal, set()).add(shard_id)
             shard.snapshot = state
@@ -648,45 +621,17 @@ class _Executor:
             self._handle_failure(shard, slot, "worker-error", detail)
 
     def _flush_ready(self) -> None:
-        """Journal, trace, and release every round all shards delivered."""
+        """Commit every round all shards delivered, in schedule order."""
         while self.arrivals.get(self.next_flush) == self._all_shards:
             ordinal = self.next_flush
             del self.arrivals[ordinal]
-            outcomes = [
-                outcome
-                for _, outcome in sorted(
-                    self.pending.pop(ordinal), key=lambda pair: pair[0]
-                )
-            ]
-            # Durable-then-release: the journal line hits disk before
-            # the outcomes reach the dataset or sink, so a kill at any
-            # instant loses no acknowledged record.
-            if self.writer is not None:
-                self.writer.append_round(
-                    ordinal,
-                    [serialize_outcome(outcome) for outcome in outcomes],
-                    self.states.pop(ordinal),
-                )
-            if self.builder is not None:
-                self.builder.add_round(ordinal, self.spans.pop(ordinal, []))
-            self._release(ordinal, outcomes)
+            self.merge.commit(
+                ordinal,
+                sorted(self.pending.pop(ordinal), key=lambda pair: pair[0]),
+                self.states.pop(ordinal, None),
+                self.spans.pop(ordinal, []),
+            )
             self.next_flush += 1
-
-    def _release(self, ordinal: int, outcomes) -> None:
-        """One canonical round to the event log, then dataset/sink/failures.
-
-        Also the journal's replay hook, so a resumed run re-releases
-        its durable prefix through exactly this path.
-        """
-        if self.event_builder is not None:
-            self.event_builder.add_round(ordinal, list(enumerate(outcomes)))
-        for outcome in outcomes:
-            if isinstance(outcome, SerpRecord):
-                self.dataset.add(outcome)
-                if self.sink is not None:
-                    self.sink(outcome)
-            else:
-                self.study.failures.append(outcome)
 
     # -- detection -----------------------------------------------------------
 
@@ -903,7 +848,7 @@ class _Executor:
                 )
                 self.stats.quarantined_failures += 1
             self.arrivals.setdefault(scheduled.ordinal, set()).add(shard.shard_id)
-            if self.writer is not None:
+            if self.merge.journal is not None:
                 self.states.setdefault(scheduled.ordinal, {})[shard.shard_id] = marker
 
     def _quarantine_marker(self, shard: _ShardState) -> dict:
@@ -938,9 +883,10 @@ def run_parallel(
 ) -> SerpDataset:
     """Run ``study``'s full schedule sharded across worker processes.
 
-    The parent merges worker results back in canonical (round,
-    treatment) order, feeds ``sink`` record-by-record in that order,
-    and leaves ``study.stats`` / ``study.failures`` holding the merged
+    The parent commits each round, once every shard has reported it,
+    through the same :class:`~repro.core.runner.RoundMerge` the
+    in-process run uses, in canonical (round, treatment) order, and
+    leaves ``study.stats`` / ``study.failures`` holding the merged
     counters — exactly the observable state a sequential
     :meth:`Study.run` leaves behind.
 
@@ -953,28 +899,9 @@ def run_parallel(
         sink: Optional per-record callable, as in :meth:`Study.run`.
         start_method: ``multiprocessing`` start method override
             (default: ``fork`` when available).
-        checkpoint: Optional journal path, as in :meth:`Study.run`.
-            Rounds become durable only once *every* shard has reported
-            them; on resume all shards restart from the durable
-            boundary with their state restored.  The journal records
-            the shard layout (each worker's treatment indices) and
-            refuses to resume under a different one (per-shard
-            snapshots only fit the layout that produced them); it does
-            not record ``supervise``, so either mode resumes the
-            other's journal.
-        trace: Optional canonical trace path, as in :meth:`Study.run`.
-            Workers ship per-round span trees; the parent merges them
-            through the same :class:`~repro.obs.exporters.TraceBuilder`
-            the sequential run uses, so the file is byte-identical for
-            any worker count.  Recovery events are appended as
-            ``supervisor.*`` spans under the study root.  Mutually
-            exclusive with ``checkpoint``.
-        events: Optional canonical wide-event log path, as in
-            :meth:`Study.run`.  Crawl events are synthesized from the
-            merged outcome stream at flush time (the parent-side
-            builder pattern), so the file is byte-identical for any
-            worker count, across recoveries, and composes with
-            ``checkpoint``.
+        checkpoint, trace, events: As in :meth:`Study.run`; a
+            resumed journal restarts every shard from its durable
+            boundary with its own state restored.
         supervise: Turn recovery on: crashed, hung, and erroring
             workers' shards are re-executed from their last snapshot
             instead of failing the run, and the
@@ -998,11 +925,9 @@ def run_parallel(
             "parallel run requires a freshly constructed Study "
             "(this one has already crawled)"
         )
-    if trace is not None and checkpoint is not None:
-        raise ValueError(
-            "trace and checkpoint cannot be combined: the checkpoint "
-            "journal does not carry spans"
-        )
+    merge = RoundMerge(
+        study, sink=sink, checkpoint=checkpoint, trace=trace, events=events
+    )
     plan = plan_shards(len(study.treatments), len(study.fleet), workers)
     context = multiprocessing.get_context(start_method or _preferred_start_method())
     # Zero-rebuild delivery for unsupervised runs: warm every pure cache
@@ -1027,7 +952,7 @@ def run_parallel(
         plan,
         context,
         payload,
-        sink=sink,
+        merge=merge,
         recover=supervise,
         policy=policy or SupervisorPolicy(),
         kill_specs=tuple(kill_specs),
@@ -1037,8 +962,8 @@ def run_parallel(
     if supervise:
         study.supervisor = executor.report
     try:
-        executor.start(checkpoint, trace, events)
+        executor.start()
         executor.run()
     finally:
         executor.close()
-    return executor.dataset
+    return merge.dataset

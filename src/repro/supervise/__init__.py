@@ -1,10 +1,12 @@
 """Self-healing supervision for parallel crawls and the serve gateway.
 
+Recovery is a switch on the one parallel executor:
+``Study.run(workers=N, supervise=True)`` or
+:func:`repro.parallel.run_parallel` with ``supervise=True`` turns on
+crash/hang detection, deterministic recovery, and quarantine.
+
 Public surface:
 
-* :func:`run_supervised` — :func:`repro.parallel.run_parallel` with
-  recovery on: crash/hang detection, deterministic recovery, and
-  quarantine (reachable as ``Study.run(workers=N, supervise=True)``);
 * :class:`SupervisorPolicy` — detection/recovery knobs;
 * :class:`KillSpec` — reproducible worker-murder points for tests and
   the ``repro chaos --kill-workers`` CLI;
@@ -17,11 +19,7 @@ from repro.supervise.stats import (
     SupervisorReport,
     SupervisorStats,
 )
-from repro.supervise.supervisor import (
-    KillSpec,
-    SupervisorPolicy,
-    run_supervised,
-)
+from repro.supervise.supervisor import KillSpec, SupervisorPolicy
 
 __all__ = [
     "KillSpec",
@@ -29,5 +27,4 @@ __all__ = [
     "SupervisorPolicy",
     "SupervisorReport",
     "SupervisorStats",
-    "run_supervised",
 ]

@@ -71,12 +71,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.datastore import SerpDataset
-
 __all__ = [
     "KillSpec",
     "SupervisorPolicy",
-    "run_supervised",
 ]
 
 
@@ -161,10 +158,3 @@ class KillSpec:
     def __post_init__(self) -> None:
         if self.mode not in ("crash", "stall"):
             raise ValueError(f"unknown kill mode {self.mode!r}")
-
-
-def run_supervised(study, **kwargs) -> SerpDataset:
-    """``run_parallel(study, supervise=True, ...)``, under its historical name."""
-    from repro.parallel import run_parallel
-
-    return run_parallel(study, supervise=True, **kwargs)

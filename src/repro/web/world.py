@@ -57,9 +57,11 @@ class WebWorld:
         self.news = NewsPool(derive_seed(seed, "news-pool"))
         #: Which country's top-level regions scope state-level content.
         self.locator = locator or US_LOCATOR
-        # universal_docs is a pure function of the query, and documents
-        # are frozen, so one slate per query serves every request.
+        # universal_docs and ambiguous_entities are pure functions of the
+        # query (and this world's seed), and documents are frozen, so one
+        # slate per query serves every request.
         self._universal: Dict[Query, Tuple[Document, ...]] = {}
+        self._ambiguity: Dict[Query, Tuple[Document, ...]] = {}
 
     # -- organic candidates -------------------------------------------------
 
@@ -78,9 +80,15 @@ class WebWorld:
         """City-scoped pages for ``query`` in one metro cell."""
         return city_docs(query, metro_cell)
 
-    def ambiguity_candidates(self, query: Query) -> List[Document]:
-        """Pages of same-named non-politicians (common names only)."""
-        return [e.document for e in ambiguous_entities(query, self.seed)]
+    def ambiguity_candidates(self, query: Query) -> Tuple[Document, ...]:
+        """Pages of same-named non-politicians (common names only),
+        built once per query."""
+        slate = self._ambiguity.get(query)
+        if slate is None:
+            slate = self._ambiguity[query] = tuple(
+                entity.document for entity in ambiguous_entities(query, self.seed)
+            )
+        return slate
 
     def poi_candidates(
         self,

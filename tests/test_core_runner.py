@@ -2,8 +2,11 @@
 
 import pytest
 
+import repro.batch as batch_module
 from repro.core.experiment import StudyConfig
 from repro.core.runner import MINUTES_PER_DAY, Study
+from repro.faults.plan import FaultPlan
+from repro.obs.events import read_events
 from repro.queries.corpus import build_corpus
 from repro.queries.model import Query, QueryCategory
 
@@ -164,13 +167,13 @@ class TestStudyRun:
         study = Study(config)
         seen = []
 
-        original = study._run_round
+        original = study._crawl_round
 
-        def spy(dataset, scheduled):
+        def spy(scheduled, shard):
             seen.append((scheduled.query.text, scheduled.timestamp))
-            return original(dataset, scheduled)
+            return original(scheduled, shard)
 
-        study._run_round = spy
+        study._crawl_round = spy
         study.run()
         timestamps = [t for _, t in seen]
         assert timestamps == sorted(timestamps)
@@ -181,14 +184,91 @@ class TestStudyRun:
         config = StudyConfig.small(_mini_queries(), days=2, locations_per_granularity=2)
         study = Study(config)
         seen = []
-        original = study._run_round
+        original = study._crawl_round
 
-        def spy(dataset, scheduled):
+        def spy(scheduled, shard):
             seen.append((scheduled.day_offset, scheduled.timestamp))
-            return original(dataset, scheduled)
+            return original(scheduled, shard)
 
-        study._run_round = spy
+        study._crawl_round = spy
         study.run()
         day0 = [t for d, t in seen if d == 0]
         day1 = [t for d, t in seen if d == 1]
         assert min(day1) - min(day0) == MINUTES_PER_DAY
+
+
+def _four_round_config(**overrides):
+    """A 4-query, 1-day small study: 4 rounds of 12 treatments."""
+    queries = _mini_queries() + [build_corpus().get("Mazie Gibbs")]
+    config = StudyConfig.small(queries, days=1, locations_per_granularity=2)
+    return config.with_overrides(**overrides) if overrides else config
+
+
+class _SinkFailure(Exception):
+    pass
+
+
+class TestOneRoundMerge:
+    """Every run crawls through ``run_shard`` and releases each round
+    through one merge: journal, trace, events, then failures, dataset,
+    and sink."""
+
+    @pytest.mark.parametrize("journalled", [False, True], ids=["plain", "checkpoint"])
+    def test_every_round_is_prewarmed(self, tmp_path, monkeypatch, journalled):
+        config = _four_round_config()
+        original = batch_module.prewarm_round
+        warmed = []
+
+        def counting(study, query, treatments):
+            warmed.append((query.text, len(treatments)))
+            return original(study, query, treatments)
+
+        monkeypatch.setattr(batch_module, "prewarm_round", counting)
+        study = Study(config)
+        checkpoint = str(tmp_path / "run.ckpt") if journalled else None
+        study.run(checkpoint=checkpoint)
+        treatments = len(study.treatments)
+        assert warmed == [(query.text, treatments) for query in config.queries]
+
+    @pytest.mark.parametrize("journalled", [False, True], ids=["plain", "checkpoint"])
+    def test_failing_sink_leaves_the_same_event_log_at_any_worker_count(
+        self, tmp_path, journalled
+    ):
+        config = _four_round_config()
+        third_query = config.queries[2].text
+
+        def sink(record):
+            if record.query == third_query:
+                raise _SinkFailure(record.location_name)
+
+        logs = {}
+        for workers in (1, 2):
+            path = tmp_path / f"w{workers}.events.jsonl"
+            checkpoint = str(tmp_path / f"w{workers}.ckpt") if journalled else None
+            study = Study(config)
+            with pytest.raises(_SinkFailure):
+                study.run(
+                    workers=workers, sink=sink, events=str(path), checkpoint=checkpoint
+                )
+            logs[workers] = path.read_bytes()
+            _, events, _ = read_events(path)
+            # Round 2 is logged before its first record reaches the sink.
+            assert len(events) == 3 * len(study.treatments)
+        assert logs[1] == logs[2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trace_and_events_in_one_run_match_single_log_runs(self, tmp_path, workers):
+        config = _four_round_config(
+            route_via_gateway=True,
+            fault_plan=FaultPlan.named("flaky-network", seed=7),
+            machine_count=5,
+        )
+        both_trace, both_events = tmp_path / "both.trace", tmp_path / "both.events"
+        only_trace, only_events = tmp_path / "only.trace", tmp_path / "only.events"
+        Study(config).run(
+            workers=workers, trace=str(both_trace), events=str(both_events)
+        )
+        Study(config).run(workers=workers, trace=str(only_trace))
+        Study(config).run(workers=workers, events=str(only_events))
+        assert both_trace.read_bytes() == only_trace.read_bytes()
+        assert both_events.read_bytes() == only_events.read_bytes()

@@ -2,8 +2,8 @@
 
 ``RegionLocator.nearest_region`` prunes its anchor walk by latitude,
 ``PoiDatabase.pois_near`` stops visiting cells once its limit is
-certain, and ``WebWorld.universal_candidates`` builds each query's slate
-once.  Each must give exactly what the plain full scan gives; the scans
+certain, and ``WebWorld.universal_candidates`` and
+``WebWorld.ambiguity_candidates`` build each query's slate once.  Each must give exactly what the plain full scan gives; the scans
 live on here as oracles.
 """
 
@@ -18,7 +18,7 @@ from repro.geo.germany import GERMANY_LOCATOR
 from repro.geo.locate import US_LOCATOR, RegionLocator
 from repro.queries.corpus import build_corpus
 from repro.web import world as world_module
-from repro.web.entities import universal_docs
+from repro.web.entities import ambiguous_entities, universal_docs
 from repro.web.grid import GeoGrid
 from repro.web.pois import CATEGORY_SPECS, PoiDatabase, category_for_term
 from repro.web.world import WebWorld
@@ -177,3 +177,26 @@ class TestUniversalSlate:
                 for query in queries:
                     assert list(world.universal_candidates(query)) == universal_docs(query)
         assert builds == queries + queries
+
+
+class TestAmbiguitySlate:
+    def test_one_slate_per_common_name_per_world(self, monkeypatch):
+        common = [query for query in build_corpus() if query.is_common_name]
+        assert len(common) == 21
+        builds = []
+
+        def counting(query, seed):
+            builds.append(query)
+            return ambiguous_entities(query, seed)
+
+        monkeypatch.setattr(world_module, "ambiguous_entities", counting)
+        world = WebWorld(seed=808)
+        for _ in range(2):
+            for query in common:
+                slate = world.ambiguity_candidates(query)
+                assert list(slate) == [
+                    entity.document
+                    for entity in ambiguous_entities(query, world.seed)
+                ]
+                assert 2 <= len(slate) <= 4
+        assert builds == common

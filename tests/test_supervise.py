@@ -22,11 +22,7 @@ from repro.core.runner import Study
 from repro.faults.plan import FaultPlan
 from repro.parallel import WorkerFailure, plan_shards, run_parallel
 from repro.queries.corpus import build_corpus
-from repro.supervise import (
-    KillSpec,
-    SupervisorPolicy,
-    run_supervised,
-)
+from repro.supervise import KillSpec, SupervisorPolicy
 
 #: Fast stall detection for tests: tenths of a second, not minutes.
 FAST_STALLS = SupervisorPolicy(
@@ -66,7 +62,7 @@ def gateway_baseline():
 
 def _run(config, *, workers, **kwargs):
     study = Study(config)
-    dataset = run_supervised(study, workers=workers, **kwargs)
+    dataset = run_parallel(study, workers=workers, supervise=True, **kwargs)
     return _serialized(dataset), study
 
 
@@ -233,9 +229,10 @@ class TestQuarantine:
     def test_deterministic_failure_is_structured_loss(self):
         config = _config()
         study = Study(config)
-        dataset = run_supervised(
+        dataset = run_parallel(
             study,
             workers=2,
+            supervise=True,
             policy=SupervisorPolicy(quarantine_after=2),
             # generation=None: every incarnation dies at the same
             # request — a deterministic failure no respawn can clear.
