@@ -54,12 +54,12 @@ SPEC_FINGERPRINT_VERSION = 1
 class AuditSpec:
     """One recurring audit: what to crawl, how often, how to execute it.
 
-    Execution knobs (``workers``, ``supervise``, ``checkpoint_cycles``,
-    ``trace_cycles``) are deliberately *excluded* from the store
-    fingerprint: they change how a cycle runs, never what it produces —
-    the byte-parity guarantees of :mod:`repro.parallel` and
-    :mod:`repro.supervise` are what make that exclusion sound, and the
-    determinism tests hold the scheduler to it.
+    Execution knobs (``workers``, ``supervise``, ``checkpoint_cycles``)
+    are deliberately *excluded* from the store fingerprint: they change
+    how a cycle runs, never what it produces — the byte-parity
+    guarantees of :mod:`repro.parallel` and :mod:`repro.supervise` are
+    what make that exclusion sound, and the determinism tests hold the
+    scheduler to it.
     """
 
     name: str
@@ -73,8 +73,6 @@ class AuditSpec:
     supervise: bool = False
     checkpoint_cycles: bool = False
     """Journal the in-flight cycle's crawl for mid-cycle kill/resume."""
-    trace_cycles: bool = False
-    """Write a canonical per-cycle trace next to the store."""
     retention_cycles: Optional[int] = None
     """Keep at most this many full cycle lines in the store; older
     cycles are compacted into the drift-series + alert summary the
@@ -96,11 +94,6 @@ class AuditSpec:
             raise ValueError("cycles must be >= 1 or None")
         if self.retention_cycles is not None and self.retention_cycles < 1:
             raise ValueError("retention_cycles must be >= 1 or None")
-        if self.checkpoint_cycles and self.trace_cycles:
-            raise ValueError(
-                "checkpoint_cycles and trace_cycles cannot be combined "
-                "(the crawl journal does not carry spans)"
-            )
 
     def cycle_interval(self) -> float:
         return (
@@ -294,11 +287,6 @@ class AuditScheduler:
             if spec.checkpoint_cycles
             else None
         )
-        trace = (
-            self.store_path(name) + f".cycle{cycle}.trace.jsonl"
-            if spec.trace_cycles
-            else None
-        )
         if spec.supervise:
             from repro.parallel import run_parallel
 
@@ -307,15 +295,12 @@ class AuditScheduler:
                 workers=spec.workers,
                 sink=sink,
                 checkpoint=checkpoint,
-                trace=trace,
                 supervise=True,
                 policy=policy,
                 kill_specs=tuple(kill_specs),
             )
         else:
-            dataset = study.run(
-                workers=spec.workers, sink=sink, checkpoint=checkpoint, trace=trace
-            )
+            dataset = study.run(workers=spec.workers, sink=sink, checkpoint=checkpoint)
         streaming.finish()
 
         result = self._build_result(spec, cycle, study, dataset, streaming)

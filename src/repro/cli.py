@@ -91,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         default=None,
         metavar="PATH",
-        help="write a deterministic JSONL trace "
-        "(byte-identical for any --workers; incompatible with --checkpoint)",
+        help="write a deterministic trace, a framed record log "
+        "(byte-identical for any --workers; resumes with --checkpoint)",
     )
     run.add_argument(
         "--metrics",
@@ -401,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fsck = sub.add_parser(
         "fsck",
-        help="scan a record log (checkpoint, audit store, event log) for "
-        "torn tails and corruption; --repair scavenges",
+        help="scan a record log (checkpoint, audit store, event log, "
+        "trace) for torn tails and corruption; --repair scavenges",
     )
     fsck.add_argument("path", help="record-log path (rotated segments included)")
     fsck.add_argument(

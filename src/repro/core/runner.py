@@ -53,6 +53,7 @@ from repro.engine.request import ResponseStatus
 from repro.faults.breaker import BreakerBoard
 from repro.faults.checkpoint import (
     CHECKPOINT_VERSION,
+    CheckpointError,
     CheckpointWriter,
     ResumeState,
     load_checkpoint,
@@ -201,13 +202,14 @@ class RoundMerge:
     The merge owns the run's checkpoint journal, trace and wide-event
     builders, dataset, and sink.  :meth:`commit` takes one round's
     ``(treatment_index, SerpRecord | CrawlFailure)`` pairs, every
-    treatment in ascending order, and makes the round durable in the
-    journal, writes its spans to the trace, emits its crawl events,
-    and only then releases it to ``study.failures``, the dataset, and
-    the sink — so a kill at any instant loses no acknowledged record,
-    and the trace and event log a failing sink leaves behind do not
-    depend on the worker count.  The in-process run and the parallel
-    executor both commit here.
+    treatment in ascending order, and makes the round (with its spans,
+    when traced) durable in the journal, writes its spans to the trace,
+    emits its crawl events, and only then releases it to
+    ``study.failures``, the dataset, and the sink — so a kill at any
+    instant loses no acknowledged record, and the trace and event log a
+    failing sink leaves behind do not depend on the worker count.  The
+    in-process run and the parallel executor both commit here; a resumed
+    run's journalled rounds take the same release.
     """
 
     def __init__(
@@ -219,12 +221,6 @@ class RoundMerge:
         trace: Optional[str] = None,
         events: Optional[str] = None,
     ) -> None:
-        if trace is not None and checkpoint is not None:
-            raise ValueError(
-                "trace and checkpoint cannot be combined: the checkpoint "
-                "journal does not carry spans, so a resumed run could not "
-                "rebuild the rounds crawled before the kill"
-            )
         self.study = study
         self.sink = sink
         self.dataset = SerpDataset()
@@ -241,17 +237,31 @@ class RoundMerge:
         header recording the shards; an existing one is checked against
         the study and that layout, truncated to its durable prefix, and
         each journalled round is released again in schedule order, so
-        the dataset, sink, failure log, and event log catch up before
-        crawling resumes.  Returns the resume point (``next_ordinal``
-        plus every shard's state), empty unless a journal was resumed.
+        the dataset, sink, failure log, trace, and event log catch up
+        before crawling resumes; a traced resume of a journal without
+        spans raises :class:`~repro.faults.checkpoint.CheckpointError`.
+        Returns the resume point (``next_ordinal`` plus every shard's
+        state), empty unless a journal was resumed.
         """
         checkpoint, trace, events = self._paths
         study = self.study
+        fingerprint = study.checkpoint_fingerprint()
+        resume = None
+        if checkpoint is not None:
+            # Checked before any log is opened, so a refused resume
+            # leaves the files at the log paths as they were.
+            resume = load_checkpoint(
+                checkpoint, expected_fingerprint=fingerprint, shards=shards
+            )
+            if trace is not None and resume is not None and None in resume.spans:
+                raise CheckpointError(
+                    f"checkpoint {checkpoint!r} was journalled untraced: its "
+                    "rounds carry no spans to rebuild the trace from"
+                )
         if trace is not None:
             from repro.obs.exporters import TraceBuilder
             from repro.obs.replay import GatewayReplay
 
-            fingerprint = study.checkpoint_fingerprint()
             trace_id = trace_id_for(fingerprint)
             study.tracer.enable(trace_id)
             self.trace = TraceBuilder(
@@ -266,10 +276,6 @@ class RoundMerge:
             self.events = CrawlEventBuilder(events, study=study)
         if checkpoint is None:
             return ResumeState()
-        fingerprint = study.checkpoint_fingerprint()
-        resume = load_checkpoint(
-            checkpoint, expected_fingerprint=fingerprint, shards=shards
-        )
         if resume is None:
             header = {
                 "version": CHECKPOINT_VERSION,
@@ -282,6 +288,7 @@ class RoundMerge:
             self._release(
                 ordinal,
                 list(enumerate(deserialize_outcome(payload) for payload in outcomes)),
+                resume.spans[ordinal],
             )
         self.journal = CheckpointWriter.append_to(checkpoint)
         return resume
@@ -296,18 +303,26 @@ class RoundMerge:
         """Release round ``ordinal``'s ``(treatment_index, outcome)`` pairs.
 
         ``states`` maps each shard to its snapshot (journalled runs);
-        ``spans`` holds the round's span trees (traced runs).
+        ``spans`` holds the round's span trees (traced runs), sorted by
+        treatment here, once, for the journal and the trace.
         """
+        if self.trace is None:
+            spans = None
+        else:
+            spans = sorted(spans, key=lambda tree: tree["attrs"]["treatment"])
         if self.journal is not None:
             self.journal.append_round(
-                ordinal, [serialize_outcome(outcome) for _, outcome in outcomes], states
+                ordinal,
+                [serialize_outcome(outcome) for _, outcome in outcomes],
+                states,
+                spans,
             )
+        self._release(ordinal, outcomes, spans)
+
+    def _release(self, ordinal: int, outcomes, spans) -> None:
+        """One round to the trace and event log, then failures, dataset, sink."""
         if self.trace is not None:
             self.trace.add_round(ordinal, spans)
-        self._release(ordinal, outcomes)
-
-    def _release(self, ordinal: int, outcomes) -> None:
-        """One round to the event log, then the failures, dataset, and sink."""
         if self.events is not None:
             self.events.add_round(ordinal, outcomes)
         for _, outcome in outcomes:
@@ -528,13 +543,14 @@ class Study:
                 shard layout (the worker count and which treatments
                 each worker crawls) must match the journal's;
                 ``supervise`` need not, and composes with it.
-            trace: Optional path for a canonical JSONL trace (see
-                :mod:`repro.obs`).  The trace file is byte-identical
-                for any ``workers`` count; a supervised run's recovery
-                events end it as ``supervisor.*`` spans.  Cannot be
-                combined with ``checkpoint`` — the journal does not
-                carry spans, so a resumed trace would silently miss its
-                earlier rounds.
+            trace: Optional path for a canonical trace, a framed
+                record log (see :mod:`repro.obs`).  The trace file is
+                byte-identical for any ``workers`` count and composes
+                with ``checkpoint``: each round's spans ride its
+                journal line, so a resumed run rebuilds the trace's
+                prefix from the journal.  A supervised run's recovery
+                events end it as ``supervisor.*`` spans (after a
+                resume, only the resumed run's recoveries).
             events: Optional path for the canonical wide-event log (see
                 :mod:`repro.obs.events`): one ``crawl`` event per
                 (round, treatment) cell.  Events are synthesized from

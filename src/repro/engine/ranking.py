@@ -204,8 +204,11 @@ class Ranker:
         never rebuild them.  Maps cards are warmed separately via
         :meth:`prewarm_maps` — their nonce gate opens for only a subset
         of (query, cell) pairs, so blanket warming would build cards no
-        request ever asks for.
+        request ever asks for.  A build counts as a memo miss; a lookup
+        that finds its entry already built counts as nothing, so the
+        hit counter measures what pages reuse.
         """
+        hits = self._hits
         snap = self._snap_grid.snap if self.calibration.snap_to_grid else lambda p: p
         for location in locations:
             snapped = snap(location)
@@ -215,6 +218,7 @@ class Ranker:
             self._suggestions(query, state, metro)
             for datacenter in datacenters:
                 self._skew_vec(query.key, snapped, datacenter, bundle)
+        self._hits = hits
 
     def prewarm_maps(self, query: Query, cells: Sequence[LatLon]) -> None:
         """Build maps cards for the given *snapped* cells ahead of serving.

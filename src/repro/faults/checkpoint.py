@@ -9,7 +9,7 @@ data, the resumed run is **byte-identical** to an uninterrupted one.
 File layout (one JSON object per line)::
 
     {"kind": "header", "version": 2, "shards": [[0, 1, ...], ...], "fingerprint": {...}}
-    {"kind": "round", "ordinal": 0, "outcomes": [{"r": {...}}, {"f": {...}}, ...]}
+    {"kind": "round", "ordinal": 0, "outcomes": [{"r": {...}}, ...], "spans": [...]}
     {"kind": "state", "ordinal": 0, "worker": 0, "state": {...}}
     ... one "round" line + W "state" lines per completed round ...
 
@@ -18,6 +18,10 @@ File layout (one JSON object per line)::
   treatment order — exactly the order a live run appends them, so
   re-feeding them reconstructs the dataset, failure log, and sink
   stream byte-for-byte.
+* ``spans`` (traced runs only) hold the round's span trees in
+  treatment order, before any merge-time gateway replay, so a resumed
+  run rebuilds the trace's prefix from the journal the way it rebuilds
+  the dataset's.  An untraced round line has no ``spans`` key.
 * ``shards`` is the shard layout: per worker, the treatment indices it
   crawls (one shard of every treatment for a sequential run).  W, the
   worker count, is its length.
@@ -81,6 +85,8 @@ class ResumeState:
     """First round that still needs to run."""
     rounds: List[List[dict]] = field(default_factory=list)
     """Per completed round: raw outcome dicts in canonical order."""
+    spans: List[Optional[List[dict]]] = field(default_factory=list)
+    """Per completed round: its span trees, ``None`` for an untraced round."""
     worker_states: Dict[int, dict] = field(default_factory=dict)
     """Worker id → state snapshot at round ``next_ordinal - 1``."""
 
@@ -110,14 +116,22 @@ class CheckpointWriter:
         return cls(path, RecordLogWriter.append_to(path))
 
     def append_round(
-        self, ordinal: int, outcomes: List[dict], states: Dict[int, dict]
+        self,
+        ordinal: int,
+        outcomes: List[dict],
+        states: Dict[int, dict],
+        spans: Optional[List[dict]] = None,
     ) -> None:
         """Journal one completed round and every worker's post-round state.
 
-        The round is durable — and its outcomes may be released to the
+        ``spans``, a traced round's span trees, ride the round line.  The
+        round is durable — and its outcomes may be released to the
         caller's sink — only after this returns.
         """
-        self._write_line({"kind": "round", "ordinal": ordinal, "outcomes": outcomes})
+        line = {"kind": "round", "ordinal": ordinal, "outcomes": outcomes}
+        if spans is not None:
+            line["spans"] = spans
+        self._write_line(line)
         for worker_id in sorted(states):
             self._write_line(
                 {
@@ -187,6 +201,7 @@ def load_checkpoint(
 
     # Longest durable prefix: rounds 0..n-1, each with all worker states.
     rounds: List[List[dict]] = []
+    spans: List[Optional[List[dict]]] = []
     worker_states: Dict[int, dict] = {}
     durable_end = header_end
     pending_round: Optional[List[dict]] = None
@@ -197,6 +212,7 @@ def load_checkpoint(
             if payload.get("ordinal") != len(rounds) or pending_round is not None:
                 break  # out-of-order journal: stop at the durable prefix
             pending_round = payload["outcomes"]
+            pending_spans = payload.get("spans")
             pending_states = {}
         elif kind == "state":
             if pending_round is None or payload.get("ordinal") != len(rounds):
@@ -206,6 +222,7 @@ def load_checkpoint(
             break
         if pending_round is not None and len(pending_states) == workers:
             rounds.append(pending_round)
+            spans.append(pending_spans)
             worker_states = pending_states
             durable_end = end
             pending_round = None
@@ -217,5 +234,8 @@ def load_checkpoint(
         current_ops().truncate(path, durable_end)
 
     return ResumeState(
-        next_ordinal=len(rounds), rounds=rounds, worker_states=worker_states
+        next_ordinal=len(rounds),
+        rounds=rounds,
+        spans=spans,
+        worker_states=worker_states,
     )

@@ -97,25 +97,13 @@ class EventLog:
 
     Records are CRC32-framed through :mod:`repro.store` (the payload
     inside the frame is the same canonical JSON as ever, so rollup and
-    SLO byte-identity are untouched).  ``segment_bytes`` turns on
-    :class:`~repro.store.record_log.RecordLogWriter` rotation for
-    long-lived logs; the default is one file, matching the readers'
-    single-path API.
+    SLO byte-identity are untouched).
     """
 
-    def __init__(
-        self,
-        path,
-        *,
-        log_id: str,
-        meta: Optional[dict] = None,
-        segment_bytes: Optional[int] = None,
-    ):
+    def __init__(self, path, *, log_id: str, meta: Optional[dict] = None):
         # Observability output: no directory fsync, no per-record
         # fsync — an event log is replayable, not load-bearing state.
-        self._log = RecordLogWriter.create(
-            path, segment_bytes=segment_bytes, fsync_directory=False
-        )
+        self._log = RecordLogWriter.create(path, fsync_directory=False)
         self.log_id = log_id
         self._events = 0
         self._streams: Dict[str, int] = {}
@@ -257,74 +245,97 @@ class CrawlEventBuilder:
         self.log.close()
 
 
-def read_events(path) -> Tuple[dict, List[dict], Optional[dict]]:
-    """Parse a wide-event file into (header, events, summary).
-
-    Torn tails are tolerated: the durable prefix is returned (with
-    ``summary`` ``None`` when the summary line was lost), matching how
-    every journal reader in the system treats the write in flight at
-    death.  Interior corruption raises
-    :class:`~repro.store.record_log.StoreCorruption`; framed and
-    legacy unframed files both load.
-    """
-    header: Optional[dict] = None
-    summary: Optional[dict] = None
-    events: List[dict] = []
-    for record, _ in read_log(path):
+def _split(records, body: str, label: str):
+    """(header, body records, summary, unknown-kind problems) of a log."""
+    header = summary = None
+    found: List[dict] = []
+    unknown: List[str] = []
+    for record in records:
         kind = record.get("kind")
         if kind == "header":
             header = record
-        elif kind == "event":
-            events.append(record)
+        elif kind == body:
+            found.append(record)
         elif kind == "summary":
             summary = record
         else:
-            raise ValueError(f"unknown event record kind {kind!r}")
-    if header is None:
-        raise ValueError(f"{path}: not a wide-event file (no header line)")
-    return header, events, summary
+            unknown.append(f"unknown {label} record kind {kind!r}")
+    return header, found, summary, unknown
 
 
-def validate_events(path) -> List[str]:
-    """Structural checks over a wide-event file (empty list = ok).
+def read_header_log(path, body: str, label: str):
+    """(header, body records, summary) of a header/body/summary log.
 
-    Damage is reported, never raised: a torn tail yields a
-    ``truncated: true`` problem naming the byte offset of the durable
-    prefix, and interior corruption yields one problem per damaged
-    region with its segment coordinates.
+    The readers of the event log and the trace.  A torn tail is dropped
+    (``summary`` is ``None`` when it held the summary line); interior
+    corruption raises :class:`~repro.store.record_log.StoreCorruption`,
+    and an unknown record kind or a missing header ``ValueError``.
     """
-    problems: List[str] = []
+    header, found, summary, unknown = _split(
+        (record for record, _ in read_log(path)), body, label
+    )
+    if unknown:
+        raise ValueError(unknown[0])
+    if header is None:
+        raise ValueError(f"{path}: not a {label} file (no header line)")
+    return header, found, summary
+
+
+def check_header_log(path, body: str, label: str, *, version: int, id_key: str):
+    """(header, body records, summary, problems) of a header/body/summary log.
+
+    The checks the event log and the trace share, reported, never
+    raised: interior corruption, a torn tail (``truncated: true`` at
+    the durable prefix's byte offset), unknown record kinds, a missing
+    header (``header`` is then ``None``), its ``version`` and
+    ``id_key``, and the summary's presence and ``id_key``.
+    """
     report = scan_log(path)
-    for region in report.corrupt:
-        problems.append(
-            f"corrupt record after record {region.record_index} at byte "
-            f"{region.start}: {region.reason}"
-        )
+    problems = [
+        f"corrupt record after record {region.record_index} at byte "
+        f"{region.start}: {region.reason}"
+        for region in report.corrupt
+    ]
     if report.torn is not None:
         problems.append(
             f"truncated: true — durable prefix ends at byte "
             f"{report.durable_end} ({report.size - report.durable_end} "
             "byte(s) torn)"
         )
-    header: Optional[dict] = None
-    summary: Optional[dict] = None
-    events: List[dict] = []
-    for scanned in report.records:
-        kind = scanned.obj.get("kind")
-        if kind == "header":
-            header = scanned.obj
-        elif kind == "event":
-            events.append(scanned.obj)
-        elif kind == "summary":
-            summary = scanned.obj
-        else:
-            problems.append(f"unknown event record kind {kind!r}")
+    header, found, summary, unknown = _split(
+        (scanned.obj for scanned in report.records), body, label
+    )
+    problems += unknown
     if header is None:
-        return [f"{path}: not a wide-event file (no header line)"] + problems
-    if header.get("version") != EVENTS_VERSION:
-        problems.append(f"unsupported events version {header.get('version')!r}")
-    if not header.get("log_id"):
-        problems.append("header has no log_id")
+        problems.insert(0, f"{path}: not a {label} file (no header line)")
+        return None, found, summary, problems
+    if header.get("version") != version:
+        problems.append(f"unsupported {label} version {header.get('version')!r}")
+    if not header.get(id_key):
+        problems.append(f"header has no {id_key}")
+    if summary is None:
+        problems.append("no summary line (truncated log?)")
+    elif summary.get(id_key) != header.get(id_key):
+        problems.append(f"summary {id_key} differs from header")
+    return header, found, summary, problems
+
+
+def read_events(path) -> Tuple[dict, List[dict], Optional[dict]]:
+    """Parse a wide-event file into (header, events, summary)."""
+    return read_header_log(path, "event", "wide-event")
+
+
+def validate_events(path) -> List[str]:
+    """Structural checks over a wide-event file (empty list = ok).
+
+    :func:`check_header_log`'s, then: event ids present and unique,
+    each event with a stream and a ``ts``, summary counts match.
+    """
+    header, events, summary, problems = check_header_log(
+        path, "event", "wide-event", version=EVENTS_VERSION, id_key="log_id"
+    )
+    if header is None:
+        return problems
     seen = set()
     streams: Dict[str, int] = {}
     for event in events:
@@ -341,9 +352,7 @@ def validate_events(path) -> List[str]:
             streams[stream] = streams.get(stream, 0) + 1
         if "ts" not in event:
             problems.append(f"event {event_id} has no ts")
-    if summary is None:
-        problems.append("no summary line (truncated log?)")
-    else:
+    if summary is not None:
         if summary.get("events") != len(events):
             problems.append(
                 f"summary says {summary.get('events')} events, file holds "
@@ -351,6 +360,4 @@ def validate_events(path) -> List[str]:
             )
         if summary.get("streams") != streams:
             problems.append("summary stream counts differ from the file")
-        if summary.get("log_id") != header.get("log_id"):
-            problems.append("summary log_id differs from header")
     return problems

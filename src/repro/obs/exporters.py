@@ -1,6 +1,8 @@
 """Trace exporters: canonical JSONL, validation, Chrome ``trace_event``.
 
-The on-disk trace is JSON Lines with three record kinds::
+The on-disk trace is a CRC32-framed record log (:mod:`repro.store`,
+like the event log and the checkpoint journal, so ``repro fsck`` checks
+it) whose payloads are JSON with three record kinds::
 
     {"kind": "header",  "version": 1, "trace_id": ..., "meta": {...}}
     {"kind": "span",    "id": ..., "parent": ..., "name": ..., "start": ...,
@@ -10,7 +12,7 @@ The on-disk trace is JSON Lines with three record kinds::
 Spans are written flattened (parent links, no nesting) in canonical
 order: per round, the round span first, then each treatment's tree
 depth-first in ascending treatment order; after the last round, the
-root ``study.run`` span, then the summary.  Every line is
+root ``study.run`` span, then the summary.  Every payload is
 ``json.dumps(..., sort_keys=True)`` with fixed separators — byte
 determinism is a format property, not a hope.
 
@@ -28,7 +30,9 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.obs.events import check_header_log, read_header_log
 from repro.obs.trace import TRACE_VERSION
+from repro.store.record_log import RecordLogWriter
 
 __all__ = [
     "TraceBuilder",
@@ -69,18 +73,21 @@ class TraceBuilder:
     """Streams a canonical trace file as rounds complete.
 
     Every run's :class:`~repro.core.runner.RoundMerge`, in-process or
-    parallel, feeds this one code path, which is what makes
-    ``workers=N`` traces byte-identical: by the time a round reaches
-    :meth:`add_round` its span trees are in canonical treatment order
-    regardless of which process produced them.  With a :class:`~repro.obs.replay.GatewayReplay`, canonical
-    gateway spans are synthesized here — at merge time — rather than
-    recorded live (see :mod:`repro.obs.replay` for why).
+    parallel, live or replaying a checkpoint journal, feeds this one
+    code path, which is what makes ``workers=N`` and resumed traces
+    byte-identical: the merge hands :meth:`add_round` each round's
+    span trees already sorted by treatment, regardless of which process
+    produced them.  With a :class:`~repro.obs.replay.GatewayReplay`,
+    canonical gateway spans are synthesized here — at merge time —
+    rather than recorded live (see :mod:`repro.obs.replay` for why).
     """
 
     def __init__(self, path, *, trace_id: str, meta: dict, replay=None):
         from repro.obs.trace import Tracer
 
-        self._handle = open(path, "w", encoding="utf-8")
+        # Observability output, like the event log: framed records, no
+        # directory fsync, no per-record fsync.
+        self._log = RecordLogWriter.create(path, fsync_directory=False)
         self.trace_id = trace_id
         self.replay = replay
         keyed = Tracer()
@@ -102,11 +109,13 @@ class TraceBuilder:
         )
 
     def _write(self, payload: dict) -> None:
-        self._handle.write(_dumps(payload) + "\n")
+        self._log.append(_dumps(payload))
 
     def add_round(self, ordinal: int, trees: List[dict]) -> None:
-        """Write one round: its span, then each treatment tree."""
-        trees = sorted(trees, key=lambda tree: tree["attrs"]["treatment"])
+        """Write one round: its span, then each treatment tree.
+
+        ``trees`` must be sorted by treatment.
+        """
         if self.replay is not None:
             self.replay.annotate_round(trees)
         start = min(tree["start"] for tree in trees) if trees else 0.0
@@ -174,87 +183,27 @@ class TraceBuilder:
                 "spans": self._spans,
             }
         )
-        self._handle.close()
-
-
-def _scan_trace(path):
-    """Parse a trace's durable prefix; (header, spans, summary, torn, size).
-
-    ``torn`` is the byte offset where an unterminated or unparseable
-    tail begins (``None`` when the file is whole) — the trace format is
-    unframed JSONL, so like every pre-framing journal reader the
-    recovery rule is: the durable prefix is everything before the first
-    line that fails to parse.
-    """
-    header: Optional[dict] = None
-    summary: Optional[dict] = None
-    spans: List[dict] = []
-    torn: Optional[int] = None
-    with open(path, "rb") as handle:
-        data = handle.read()
-    offset = 0
-    while offset < len(data):
-        newline = data.find(b"\n", offset)
-        if newline < 0:
-            torn = offset  # the write in flight at death
-            break
-        line = data[offset : newline].strip()
-        if line:
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                torn = offset
-                break
-            kind = record.get("kind")
-            if kind == "header":
-                header = record
-            elif kind == "span":
-                spans.append(record)
-            elif kind == "summary":
-                summary = record
-            else:
-                raise ValueError(f"unknown trace record kind {kind!r}")
-        offset = newline + 1
-    return header, spans, summary, torn, len(data)
+        self._log.close()
 
 
 def read_trace(path) -> Tuple[dict, List[dict], Optional[dict]]:
-    """Parse a trace file into (header, spans, summary).
-
-    Torn tails are tolerated: the durable prefix is returned, with
-    ``summary`` ``None`` when the summary line was lost.
-    """
-    header, spans, summary, _, _ = _scan_trace(path)
-    if header is None:
-        raise ValueError(f"{path}: not a trace file (no header line)")
-    return header, spans, summary
+    """Parse a trace file into (header, spans, summary)."""
+    return read_header_log(path, "span", "trace")
 
 
 def validate_trace(path) -> List[str]:
     """Structural checks over a trace file; returns problems (empty = ok).
 
-    Checks: header present and versioned; no torn tail (reported as
-    ``truncated: true`` with the byte offset of the durable prefix);
-    span ids unique; every parent id exists (the root's empty parent
-    excepted); ``end >= start`` and events inside their span's bounds;
-    round ordinals contiguous from 0; summary counts match the file.
+    :func:`~repro.obs.events.check_header_log`'s, then: span ids
+    unique; every parent id exists (the root's empty parent excepted);
+    ``end >= start`` and events inside their span's bounds; round
+    ordinals contiguous from 0; summary counts match the file.
     """
-    problems: List[str] = []
-    try:
-        header, spans, summary, torn, size = _scan_trace(path)
-    except (ValueError, json.JSONDecodeError) as error:
-        return [str(error)]
+    header, spans, summary, problems = check_header_log(
+        path, "span", "trace", version=TRACE_VERSION, id_key="trace_id"
+    )
     if header is None:
-        return [f"{path}: not a trace file (no header line)"]
-    if torn is not None:
-        problems.append(
-            f"truncated: true — durable prefix ends at byte {torn} "
-            f"({size - torn} byte(s) torn)"
-        )
-    if header.get("version") != TRACE_VERSION:
-        problems.append(f"unsupported trace version {header.get('version')!r}")
-    if not header.get("trace_id"):
-        problems.append("header has no trace_id")
+        return problems
     seen: Dict[str, dict] = {}
     for span in spans:
         span_id = span["id"]
@@ -288,9 +237,7 @@ def validate_trace(path) -> List[str]:
     )
     if ordinals != list(range(len(ordinals))):
         problems.append(f"round ordinals not contiguous from 0: {ordinals[:10]}...")
-    if summary is None:
-        problems.append("no summary line (truncated trace?)")
-    else:
+    if summary is not None:
         if summary.get("spans") != len(spans):
             problems.append(
                 f"summary says {summary.get('spans')} spans, file holds {len(spans)}"
@@ -300,8 +247,6 @@ def validate_trace(path) -> List[str]:
                 f"summary says {summary.get('rounds')} rounds, file holds "
                 f"{len(ordinals)}"
             )
-        if summary.get("trace_id") != header.get("trace_id"):
-            problems.append("summary trace_id differs from header")
     return problems
 
 

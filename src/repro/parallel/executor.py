@@ -65,10 +65,11 @@ Design
   ``RuntimeError`` carrying its traceback.
 * **Checkpoints are merge-time.**  Under ``checkpoint=path`` each
   worker ships its :meth:`Study.capture_state` snapshot with every
-  round; the merge journals a round (outcomes + every shard's state)
-  durably *before* releasing it to the dataset and sink.  On resume,
-  every shard restores its own snapshot and re-enters the schedule at
-  the first un-journalled round — a worker that had raced ahead of the
+  round; the merge journals a round (outcomes, every shard's state,
+  and, traced, the round's spans) durably *before* releasing it to the
+  trace, event log, dataset, and sink.  On resume, every shard
+  restores its own snapshot and re-enters the schedule at the first
+  un-journalled round — a worker that had raced ahead of the
   durable prefix simply re-crawls, byte-identically, because its state
   was reset to the prefix boundary.  A quarantined shard has no state
   to journal; its slot holds a marker instead, so a resumed run
@@ -901,7 +902,9 @@ def run_parallel(
             (default: ``fork`` when available).
         checkpoint, trace, events: As in :meth:`Study.run`; a
             resumed journal restarts every shard from its durable
-            boundary with its own state restored.
+            boundary with its own state restored, after the merge
+            releases the journalled rounds (and, traced, their spans)
+            again.
         supervise: Turn recovery on: crashed, hung, and erroring
             workers' shards are re-executed from their last snapshot
             instead of failing the run, and the

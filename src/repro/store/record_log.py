@@ -1,7 +1,7 @@
 """CRC32-framed JSONL record logs with a scavenging scanner.
 
-Every durable journal in the system — checkpoint, audit store, wide
-events — is a sequence of framed lines::
+Every journal and log in the system — checkpoint, audit store, wide
+events, trace — is a sequence of framed lines::
 
     ~F1 <length:08x> <crc32:08x> <payload>\\n
 

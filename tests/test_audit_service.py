@@ -338,8 +338,6 @@ class TestSchedulerValidation:
             _spec(name="bad name!")
         with pytest.raises(ValueError, match="workers"):
             _spec(workers=0)
-        with pytest.raises(ValueError, match="trace"):
-            _spec(checkpoint_cycles=True, trace_cycles=True)
         with pytest.raises(ValueError, match="interval"):
             _spec(interval_minutes=0.0)
 

@@ -67,12 +67,33 @@ def _killing_sink(after: int):
 
 
 def _checkpointed_run(study, path, sink, workers, options):
-    """``Study.run``, or ``run_parallel`` when executor options are given."""
-    if options:
+    """``Study.run``, or ``run_parallel`` for its executor-only options."""
+    if "policy" in options or "kill_specs" in options:
         return run_parallel(
             study, workers=workers, sink=sink, checkpoint=str(path), **options
         )
-    return study.run(sink=sink, workers=workers, checkpoint=str(path))
+    return study.run(sink=sink, workers=workers, checkpoint=str(path), **options)
+
+
+def _log_options(prefix) -> dict:
+    """Trace and wide-event log paths next to the journal ``<prefix>.ckpt``."""
+    return {"trace": f"{prefix}.trace", "events": f"{prefix}.events"}
+
+
+def _logs(prefix) -> tuple:
+    """The trace, wide-event log, and journal a run left at ``prefix``."""
+    return tuple(
+        open(f"{prefix}{suffix}", "rb").read()
+        for suffix in (".trace", ".events", ".ckpt")
+    )
+
+
+def _whole_logs(config, prefix, workers: int = 1) -> tuple:
+    """An uninterrupted traced, checkpointed run's logs."""
+    Study(config).run(
+        workers=workers, checkpoint=f"{prefix}.ckpt", **_log_options(prefix)
+    )
+    return _logs(prefix)
 
 
 def _run_killed_then_resumed(
@@ -80,8 +101,8 @@ def _run_killed_then_resumed(
 ):
     """Kill a checkpointed run after N records, resume, return both studies.
 
-    ``options`` (``supervise``, ``policy``, ``kill_specs``, ``events``)
-    go to both runs.
+    ``options`` (``supervise``, ``policy``, ``kill_specs``, ``trace``,
+    ``events``) go to both runs.
     """
     sink, _ = _killing_sink(kill_after)
     killed = Study(config)
@@ -114,6 +135,7 @@ class TestSequentialResume:
     def test_kill_at_every_round_boundary(self, baseline, tmp_path):
         base_study, base_dataset = baseline
         expected = _serialized(base_dataset)
+        expected_logs = _whole_logs(_config(), tmp_path / "whole")
         rounds = base_study.round_count()
         treatments = len(base_study.treatments)
         assert rounds == 6
@@ -132,11 +154,14 @@ class TestSequentialResume:
         for kill_after in boundaries[:-1]:
             if kill_after == 0:
                 continue
-            path = tmp_path / f"boundary-{kill_after}.ckpt"
+            prefix = tmp_path / f"boundary-{kill_after}"
             _, resumed, dataset, replayed = _run_killed_then_resumed(
-                _config(), path, kill_after
+                _config(), f"{prefix}.ckpt", kill_after, **_log_options(prefix)
             )
             assert _serialized(dataset) == expected, f"kill@{kill_after}"
+            # The spans ride the journal, so the trace resumes like the
+            # event log: both logs and the journal match the whole run's.
+            assert _logs(prefix) == expected_logs, f"kill@{kill_after}"
             assert resumed.stats == base_study.stats
             assert resumed.failures == base_study.failures
             assert resumed.fault_stats == base_study.fault_stats
@@ -207,13 +232,19 @@ class TestParallelResume:
     def test_kill_mid_shard_with_two_workers(self, baseline, tmp_path, options):
         base_study, base_dataset = baseline
         expected = _serialized(base_dataset)
-        expected_events = tmp_path / "uninterrupted.events.jsonl"
-        Study(_config()).run(events=str(expected_events))
+        # The last case's worker crash leaves no span in the resumed trace:
+        # recovery spans come from the in-memory ledger, and the resumed run
+        # starts past the crashed round, so it matches an uncrashed run.
+        expected_logs = _whole_logs(_config(), tmp_path / "whole", workers=2)
         for kill_after in (3, 11, 25):
-            path = tmp_path / f"par-{kill_after}.ckpt"
-            events = tmp_path / f"par-{kill_after}.events.jsonl"
+            prefix = tmp_path / f"par-{kill_after}"
             killed, resumed, dataset, replayed = _run_killed_then_resumed(
-                _config(), path, kill_after, workers=2, events=str(events), **options
+                _config(),
+                f"{prefix}.ckpt",
+                kill_after,
+                workers=2,
+                **_log_options(prefix),
+                **options,
             )
             assert _serialized(dataset) == expected, f"workers=2 kill@{kill_after}"
             assert resumed.stats == base_study.stats
@@ -221,10 +252,23 @@ class TestParallelResume:
             assert resumed.fault_stats == base_study.fault_stats
             assert resumed.fault_stats.unaccounted() == {}
             assert _serialized(dataset) == _serialized(replayed)
-            assert events.read_bytes() == expected_events.read_bytes()
+            assert _logs(prefix) == expected_logs, f"workers=2 kill@{kill_after}"
             if options.get("kill_specs") and kill_after == 25:
                 assert killed.supervisor.stats.crashes_detected == 1
                 assert killed.supervisor.stats.recoveries == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_traced_gateway_run_resumes_identically(self, tmp_path, workers):
+        config = _config(route_via_gateway=True)
+        expected = _serialized(Study(config).run())
+        expected_logs = _whole_logs(config, tmp_path / "whole", workers)
+        for kill_after in (11, 25):
+            prefix = tmp_path / f"gateway-{kill_after}"
+            _, _, dataset, _ = _run_killed_then_resumed(
+                config, f"{prefix}.ckpt", kill_after, workers, **_log_options(prefix)
+            )
+            assert _serialized(dataset) == expected, f"kill@{kill_after}"
+            assert _logs(prefix) == expected_logs, f"kill@{kill_after}"
 
     @pytest.mark.parametrize(
         "first, second",

@@ -316,15 +316,18 @@ class TestObservabilityCommands:
         prom = capsys.readouterr().out
         assert "# TYPE repro_crawl_pages_total counter" in prom
 
-    def test_run_trace_rejects_checkpoint(self, tmp_path):
+    def test_run_trace_with_checkpoint(self, tmp_path, capsys):
+        trace = str(tmp_path / "x.trace")
         argv = [
             "run", "--scale", "small", "--days", "1",
             "--out", str(tmp_path / "x.jsonl"),
-            "--trace", str(tmp_path / "x.trace"),
+            "--trace", trace,
             "--checkpoint", str(tmp_path / "x.ckpt"),
         ]
-        with pytest.raises(ValueError, match="checkpoint"):
-            main(argv)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["trace", trace, "--check"]) == 0
+        assert ": ok (trace " in capsys.readouterr().out
 
     def test_serve_bench_trace(self, tmp_path, capsys):
         trace = tmp_path / "serve.trace.jsonl"

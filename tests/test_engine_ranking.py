@@ -444,6 +444,23 @@ class TestRankerCaches:
         assert again["hits"] > info["hits"]
         assert again["bundles"] == info["bundles"]
 
+    def test_repeated_prewarm_counts_no_memo_hits(self):
+        from repro.batch import prewarm_round
+        from repro.core.experiment import StudyConfig
+        from repro.core.runner import Study
+
+        study = Study(StudyConfig.small(days=1, locations_per_granularity=2))
+        query = next(study.iter_rounds()).query
+        ranker = study.engine.ranker
+        prewarm_round(study, query, study.treatments)
+        warmed = ranker.cache_info()
+        assert warmed["hits"] == 0 and warmed["misses"] > 0
+        prewarm_round(study, query, study.treatments)
+        assert ranker.cache_info() == warmed
+        # The pages built afterwards still count the memo entries they reuse.
+        study.run_single_query(query)
+        assert ranker.cache_info()["hits"] > 0
+
     def test_clear_caches_resets_without_changing_output(
         self, ranker_world, queries
     ):

@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.experiment import StudyConfig
 from repro.core.runner import CrawlStats, Study
+from repro.faults.checkpoint import CheckpointError
 from repro.faults.injector import FaultStats
 from repro.faults.plan import FaultPlan
 from repro.obs.exporters import chrome_trace, read_trace, validate_trace
@@ -27,6 +28,7 @@ from repro.obs.profile import profile_trace
 from repro.obs.trace import NULL_TRACER, Tracer, trace_id_for
 from repro.queries.corpus import build_corpus
 from repro.serve.stats import GatewayStats
+from repro.store import fsck_path
 
 FLAKY = FaultPlan.named("flaky-network", seed=7)
 
@@ -233,18 +235,27 @@ class TestTraceDeterminism:
         traced = Study(_config()).run(trace=str(tmp_path / "t.trace"))
         assert [r.to_dict() for r in traced] == [r.to_dict() for r in plain]
 
-    def test_trace_with_checkpoint_is_refused(self, tmp_path):
-        with pytest.raises(ValueError, match="checkpoint"):
-            Study(_config()).run(
-                trace=str(tmp_path / "t.trace"),
-                checkpoint=str(tmp_path / "c.ckpt"),
-            )
-        with pytest.raises(ValueError, match="checkpoint"):
-            Study(_config()).run(
-                workers=2,
-                trace=str(tmp_path / "t2.trace"),
-                checkpoint=str(tmp_path / "c2.ckpt"),
-            )
+    def test_traced_resume_of_an_untraced_journal_is_refused(self, tmp_path):
+        class Killed(Exception):
+            pass
+
+        def dying_sink(record):
+            raise Killed
+
+        for workers in (1, 2):
+            journal = str(tmp_path / f"w{workers}.ckpt")
+            with pytest.raises(Killed):
+                Study(_config()).run(
+                    workers=workers, sink=dying_sink, checkpoint=journal
+                )
+            earlier = tmp_path / f"w{workers}.trace"
+            earlier.write_bytes(b"an earlier run's trace\n")
+            with pytest.raises(CheckpointError, match="untraced"):
+                Study(_config()).run(
+                    workers=workers, checkpoint=journal, trace=str(earlier)
+                )
+            # Refused before the trace is opened: the file is untouched.
+            assert earlier.read_bytes() == b"an earlier run's trace\n"
 
     def test_tracing_off_by_default(self, tmp_path):
         study = Study(_config())
@@ -261,6 +272,13 @@ class TestTraceFile:
 
     def test_validates_clean(self, trace_path):
         assert validate_trace(trace_path) == []
+
+    def test_fsck_finds_the_trace_clean(self, trace_path):
+        _, spans, _ = read_trace(trace_path)
+        report = fsck_path(trace_path)
+        assert report.exit_code == 0
+        assert not report.truncated and report.corrupt_records == 0
+        assert report.records == len(spans) + 2  # plus header and summary
 
     def test_header_meta_is_the_fingerprint(self, trace_path):
         header, _, _ = read_trace(trace_path)
