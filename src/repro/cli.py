@@ -88,25 +88,26 @@ def build_parser() -> argparse.ArgumentParser:
         "crash/hang recovery, shard reassignment",
     )
     run.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="write a deterministic trace, a framed record log "
-        "(byte-identical for any --workers; resumes with --checkpoint)",
-    )
-    run.add_argument(
         "--metrics",
         default=None,
         metavar="PATH",
         help="write the unified metrics snapshot as JSON",
     )
-    run.add_argument(
+    log = run.add_mutually_exclusive_group()
+    log.add_argument(
+        "--trace",
+        default=None,
+        metavar="PATH",
+        help="write the --events log with the run's spans in it: one "
+        "`span` event per round tree (read with `repro trace`)",
+    )
+    log.add_argument(
         "--events",
         default=None,
         metavar="PATH",
-        help="write the canonical wide-event log: one JSONL event per "
-        "crawl cell, byte-identical for any --workers (composes with "
-        "--checkpoint; query with `repro telemetry`)",
+        help="write the canonical wide-event log, a framed record log: "
+        "one event per crawl cell, byte-identical for any --workers "
+        "(resumes with --checkpoint; query with `repro telemetry`)",
     )
 
     report = sub.add_parser("report", help="print figure tables from a dataset")
@@ -270,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         default=None,
         metavar="PATH",
-        help="write a JSONL trace of the timed cells' fleet.request spans",
+        help="write an event log of the timed cells' fleet.request span "
+        "trees, one `span` event each (read with `repro trace`)",
     )
     serve.add_argument(
         "--gateways",
@@ -401,8 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     fsck = sub.add_parser(
         "fsck",
-        help="scan a record log (checkpoint, audit store, event log, "
-        "trace) for torn tails and corruption; --repair scavenges",
+        help="scan a record log (checkpoint, audit store, event log "
+        "with or without spans) for torn tails and corruption; "
+        "--repair scavenges",
     )
     fsck.add_argument("path", help="record-log path (rotated segments included)")
     fsck.add_argument(
@@ -487,9 +490,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     trace = sub.add_parser(
-        "trace", help="validate, profile, or export a deterministic trace"
+        "trace",
+        help="validate, profile, or export the spans of a traced event log",
     )
-    trace.add_argument("path", help="trace file written by run --trace")
+    trace.add_argument(
+        "path", help="event log written by run --trace or serve-bench --trace"
+    )
     trace.add_argument(
         "--check",
         action="store_true",
@@ -542,7 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="query a wide-event log: rollups, burn-rate SLOs, HTML report",
     )
     telemetry.add_argument(
-        "path", help="wide-event JSONL log (run --events / chaos-serve --events)"
+        "path",
+        help="wide-event log (run --events/--trace, chaos-serve --events)",
     )
     telemetry.add_argument(
         "--html",
@@ -1018,9 +1025,9 @@ def _cmd_serve_bench(args) -> int:
     from repro.serve.bench import run_serve_bench
 
     sizes = sorted({1, args.gateways})
-    tracer = builder = None
+    tracer = log = None
     if args.trace:
-        from repro.obs.exporters import TraceBuilder
+        from repro.obs.events import EventLog
         from repro.obs.trace import Tracer, trace_id_for
 
         bench_meta = {
@@ -1035,7 +1042,7 @@ def _cmd_serve_bench(args) -> int:
         trace_id = trace_id_for(bench_meta)
         tracer = Tracer()
         tracer.enable(trace_id)
-        builder = TraceBuilder(args.trace, trace_id=trace_id, meta=bench_meta)
+        log = EventLog(args.trace, log_id=trace_id, meta=bench_meta)
     print(
         f"serve-bench: sizes={sizes} R={args.replication}, "
         f"{args.requests} requests over {args.clients} lazy clients",
@@ -1056,9 +1063,10 @@ def _cmd_serve_bench(args) -> int:
         tracer=tracer,
     )
     print(report.render())
-    if builder is not None:
-        builder.add_trees(tracer.drain())
-        builder.close()
+    if log is not None:
+        for tree in tracer.drain():
+            log.emit_span(tree)
+        log.close()
         tracer.disable()
         print(f"trace -> {args.trace}", file=sys.stderr)
     return 0
@@ -1527,10 +1535,11 @@ def _cmd_trace(args) -> int:
             for problem in problems:
                 print(f"INVALID: {problem}", file=sys.stderr)
             return 1
-        header, spans, summary = read_trace(args.path)
+        header, spans, _ = read_trace(args.path)
+        rounds = sum(span["name"] == "round" for span in spans)
         print(
-            f"{args.path}: ok (trace {header['trace_id']}, "
-            f"{summary['rounds']} round(s), {summary['spans']} spans)"
+            f"{args.path}: ok (trace {header['log_id']}, "
+            f"{rounds} round(s), {len(spans)} spans)"
         )
         acted = True
     if args.chrome:

@@ -30,9 +30,9 @@ journals each round so a killed crawl resumes byte-identically.
 One loop crawls the schedule, :meth:`Study.run_shard`: the in-process
 run is one shard of every treatment, and each worker of a parallel run
 (:mod:`repro.parallel`) crawls its own shard.  One :class:`RoundMerge`
-per run releases each finished round in one order — journal, trace,
-wide events, then the failure log, dataset, and sink — whichever loop
-or worker produced it.
+per run releases each finished round in one order — journal, event
+log (with the round's spans when traced), then the failure log,
+dataset, and sink — whichever loop or worker produced it.
 
 The result is a :class:`SerpDataset` the analysis modules consume.
 """
@@ -199,17 +199,21 @@ def deserialize_outcome(payload: dict) -> Union[SerpRecord, CrawlFailure]:
 class RoundMerge:
     """Where one run's finished rounds are released, in one order.
 
-    The merge owns the run's checkpoint journal, trace and wide-event
-    builders, dataset, and sink.  :meth:`commit` takes one round's
-    ``(treatment_index, SerpRecord | CrawlFailure)`` pairs, every
-    treatment in ascending order, and makes the round (with its spans,
-    when traced) durable in the journal, writes its spans to the trace,
-    emits its crawl events, and only then releases it to
+    The merge owns the run's checkpoint journal, its event log builder
+    (one :class:`~repro.obs.events.CrawlEventBuilder`, which writes the
+    spans too when traced), dataset, and sink.  :meth:`commit` takes one
+    round's ``(treatment_index, SerpRecord | CrawlFailure)`` pairs,
+    every treatment in ascending order, and makes the round (with its
+    spans, when traced) durable in the journal, writes its span tree
+    and crawl events to the log, and only then releases it to
     ``study.failures``, the dataset, and the sink — so a kill at any
-    instant loses no acknowledged record, and the trace and event log a
-    failing sink leaves behind do not depend on the worker count.  The
-    in-process run and the parallel executor both commit here; a resumed
-    run's journalled rounds take the same release.
+    instant loses no acknowledged record, and the log a failing sink
+    leaves behind does not depend on the worker count.  The in-process
+    run and the parallel executor both commit here; a resumed run's
+    journalled rounds take the same release.
+
+    ``trace`` and ``events`` name the same one log: ``trace`` writes it
+    with its spans.  Passing both raises ``ValueError``.
     """
 
     def __init__(
@@ -221,59 +225,57 @@ class RoundMerge:
         trace: Optional[str] = None,
         events: Optional[str] = None,
     ) -> None:
+        if trace is not None and events is not None:
+            raise ValueError(
+                "trace= and events= name the same event log; pass one "
+                "(trace= writes it with its spans)"
+            )
         self.study = study
         self.sink = sink
         self.dataset = SerpDataset()
         self.journal: Optional[CheckpointWriter] = None
-        self.trace = None
         self.events = None
-        self._paths = (checkpoint, trace, events)
+        self.traced = trace is not None
+        self._checkpoint = checkpoint
+        self._log = trace if trace is not None else events
 
     def open(self, shards: Sequence[Sequence[int]]) -> ResumeState:
-        """Open the logs and the journal for a run dealt as ``shards``.
+        """Open the log and the journal for a run dealt as ``shards``.
 
-        ``shards`` holds each worker's treatment indices.  Opening the
-        trace enables the study's tracer.  A fresh journal gets a
-        header recording the shards; an existing one is checked against
-        the study and that layout, truncated to its durable prefix, and
+        ``shards`` holds each worker's treatment indices.  A traced run
+        enables the study's tracer.  A fresh journal gets a header
+        recording the shards; an existing one is checked against the
+        study and that layout, truncated to its durable prefix, and
         each journalled round is released again in schedule order, so
-        the dataset, sink, failure log, trace, and event log catch up
-        before crawling resumes; a traced resume of a journal without
-        spans raises :class:`~repro.faults.checkpoint.CheckpointError`.
+        the dataset, sink, failure log, and event log catch up before
+        crawling resumes; a traced resume of a journal without spans
+        raises :class:`~repro.faults.checkpoint.CheckpointError`.
         Returns the resume point (``next_ordinal`` plus every shard's
         state), empty unless a journal was resumed.
         """
-        checkpoint, trace, events = self._paths
+        checkpoint = self._checkpoint
         study = self.study
         fingerprint = study.checkpoint_fingerprint()
         resume = None
         if checkpoint is not None:
-            # Checked before any log is opened, so a refused resume
-            # leaves the files at the log paths as they were.
+            # Checked before the log is opened, so a refused resume
+            # leaves the file at the log path as it was.
             resume = load_checkpoint(
                 checkpoint, expected_fingerprint=fingerprint, shards=shards
             )
-            if trace is not None and resume is not None and None in resume.spans:
+            if self.traced and resume is not None and None in resume.spans:
                 raise CheckpointError(
                     f"checkpoint {checkpoint!r} was journalled untraced: its "
                     "rounds carry no spans to rebuild the trace from"
                 )
-        if trace is not None:
-            from repro.obs.exporters import TraceBuilder
-            from repro.obs.replay import GatewayReplay
-
-            trace_id = trace_id_for(fingerprint)
-            study.tracer.enable(trace_id)
-            self.trace = TraceBuilder(
-                trace,
-                trace_id=trace_id,
-                meta=fingerprint,
-                replay=GatewayReplay.from_study(study),
-            )
-        if events is not None:
+        if self._log is not None:
             from repro.obs.events import CrawlEventBuilder
 
-            self.events = CrawlEventBuilder(events, study=study)
+            if self.traced:
+                study.tracer.enable(trace_id_for(fingerprint))
+            self.events = CrawlEventBuilder(
+                self._log, study=study, traced=self.traced
+            )
         if checkpoint is None:
             return ResumeState()
         if resume is None:
@@ -288,7 +290,7 @@ class RoundMerge:
             self._release(
                 ordinal,
                 list(enumerate(deserialize_outcome(payload) for payload in outcomes)),
-                resume.spans[ordinal],
+                resume.spans[ordinal] if self.traced else None,
             )
         self.journal = CheckpointWriter.append_to(checkpoint)
         return resume
@@ -304,12 +306,12 @@ class RoundMerge:
 
         ``states`` maps each shard to its snapshot (journalled runs);
         ``spans`` holds the round's span trees (traced runs), sorted by
-        treatment here, once, for the journal and the trace.
+        treatment here, once, for the journal and the log.
         """
-        if self.trace is None:
-            spans = None
-        else:
+        if self.traced:
             spans = sorted(spans, key=lambda tree: tree["attrs"]["treatment"])
+        else:
+            spans = None
         if self.journal is not None:
             self.journal.append_round(
                 ordinal,
@@ -320,11 +322,9 @@ class RoundMerge:
         self._release(ordinal, outcomes, spans)
 
     def _release(self, ordinal: int, outcomes, spans) -> None:
-        """One round to the trace and event log, then failures, dataset, sink."""
-        if self.trace is not None:
-            self.trace.add_round(ordinal, spans)
+        """One round to the event log, then failures, dataset, sink."""
         if self.events is not None:
-            self.events.add_round(ordinal, outcomes)
+            self.events.add_round(ordinal, outcomes, spans)
         for _, outcome in outcomes:
             if isinstance(outcome, CrawlFailure):
                 self.study.failures.append(outcome)
@@ -334,26 +334,19 @@ class RoundMerge:
                 self.sink(outcome)
 
     def close(self, ledger=None) -> None:
-        """Close the journal and logs, and disable the tracer.
+        """Close the journal and the log, and disable the tracer.
 
         ``ledger``, a supervised run's
-        :class:`~repro.supervise.stats.SupervisorReport`, ends the trace
-        with its recovery events as ``supervisor.*`` spans under the
-        study root.
+        :class:`~repro.supervise.stats.SupervisorReport`, ends a traced
+        log with its recovery events as ``supervisor.*`` spans under
+        the study root.
         """
         if self.journal is not None:
             self.journal.close()
-        if self.trace is not None:
-            if ledger is not None and ledger.events:
-                self.trace.add_trees(
-                    ledger.trace_trees(
-                        self.trace.trace_id, self.study.tracer.study_span_id()
-                    )
-                )
-            self.trace.close()
-            self.study.tracer.disable()
         if self.events is not None:
-            self.events.close()
+            self.events.close(ledger)
+        if self.traced:
+            self.study.tracer.disable()
 
 
 class Study:
@@ -519,8 +512,8 @@ class Study:
 
         The in-process run is :meth:`run_shard` over every treatment;
         either way each round is released through one
-        :class:`RoundMerge`, so the journal, trace, event log, and
-        sink see rounds in the same order at any worker count.
+        :class:`RoundMerge`, so the journal, event log, and sink see
+        rounds in the same order at any worker count.
 
         Args:
             sink: Optional callable receiving each :class:`SerpRecord`
@@ -543,21 +536,22 @@ class Study:
                 shard layout (the worker count and which treatments
                 each worker crawls) must match the journal's;
                 ``supervise`` need not, and composes with it.
-            trace: Optional path for a canonical trace, a framed
-                record log (see :mod:`repro.obs`).  The trace file is
-                byte-identical for any ``workers`` count and composes
-                with ``checkpoint``: each round's spans ride its
-                journal line, so a resumed run rebuilds the trace's
-                prefix from the journal.  A supervised run's recovery
-                events end it as ``supervisor.*`` spans (after a
-                resume, only the resumed run's recoveries).
             events: Optional path for the canonical wide-event log (see
-                :mod:`repro.obs.events`): one ``crawl`` event per
-                (round, treatment) cell.  Events are synthesized from
-                the canonical outcome stream at flush time, so the file
-                is byte-identical for any ``workers`` count **and**
-                composes with ``checkpoint`` — a resumed run replays
-                the journaled rounds' events before crawling on.
+                :mod:`repro.obs.events`), a framed record log: one
+                ``crawl`` event per (round, treatment) cell, synthesized
+                from the canonical outcome stream at merge time, so the
+                file is byte-identical for any ``workers`` count **and**
+                composes with ``checkpoint`` — a resumed run replays the
+                journaled rounds' events before crawling on.
+            trace: Like ``events``, with the run's spans: the same log
+                also holds one ``span`` event per round tree (and per
+                ``supervisor.*`` recovery of a supervised run — after a
+                resume, only the resumed run's), closed by the
+                ``study.run`` root.  Still byte-identical for any
+                ``workers`` count and composable with ``checkpoint``:
+                each round's spans ride its journal line, so a resumed
+                run rebuilds the log's prefix from the journal.  Pass
+                ``trace`` or ``events``, not both (``ValueError``).
             supervise: Turn on recovery in the parallel executor
                 (see :mod:`repro.supervise`): a crashed, hung, or
                 erroring worker's shard is re-executed from its last

@@ -20,8 +20,8 @@ File layout (one JSON object per line)::
   stream byte-for-byte.
 * ``spans`` (traced runs only) hold the round's span trees in
   treatment order, before any merge-time gateway replay, so a resumed
-  run rebuilds the trace's prefix from the journal the way it rebuilds
-  the dataset's.  An untraced round line has no ``spans`` key.
+  run rebuilds its event log's span trees from the journal the way it
+  rebuilds the dataset's.  An untraced round line has no ``spans`` key.
 * ``shards`` is the shard layout: per worker, the treatment indices it
   crawls (one shard of every treatment for a sequential run).  W, the
   worker count, is its length.

@@ -16,20 +16,29 @@ The on-disk format is JSON Lines with three record kinds::
     {"kind": "summary", "log_id": ..., "events": N, "streams": {...}}
 
 Every line is ``json.dumps(..., sort_keys=True)`` with fixed
-separators, like the trace format — byte determinism is a format
-property.
+separators — byte determinism is a format property.  It is the one
+deterministic log format: a traced run's spans are a stream of it.
 
 Streams
 -------
 ``crawl``
     One event per (round, treatment) cell of a study schedule.  These
     are **synthesized parent-side** by :class:`CrawlEventBuilder` from
-    the canonical outcome stream — the same builder pattern as the
-    trace's :class:`~repro.obs.exporters.TraceBuilder`, and the reason
-    the log is byte-identical for any worker count *and* across
-    kill/resume: a resumed run re-synthesizes the journaled rounds'
-    events from the checkpoint, something live worker-side emission
-    could never replay.
+    the canonical outcome stream, the reason the log is byte-identical
+    for any worker count *and* across kill/resume: a resumed run
+    re-synthesizes the journaled rounds' events from the checkpoint,
+    something live worker-side emission could never replay.  Each
+    carries its cell's ``crawl`` span id as ``span``.
+``span``
+    Traced logs only: one event per root span tree — a round (the
+    round span, its treatments' trees nested under it), a
+    ``supervisor.*`` recovery, and the closing ``study.run`` root.  The
+    event *is* the tree's root node (``id``, ``parent``, ``name``,
+    ``start``, ``end``, ``attrs``, ``events``, nested ``children``), with
+    the root's start as ``ts``; :func:`~repro.obs.exporters.read_trace`
+    walks each tree depth-first into the flat span list the exporters
+    read.  ``serve-bench --trace`` writes its fleet's request trees the
+    same way.
 ``serve`` / ``serve.control``
     One event per request through a :class:`~repro.serve.fleet.
     GatewayFleet` (emitted live at the fleet's single ``_finish`` exit),
@@ -51,7 +60,13 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.trace import format_id
+from repro.obs.trace import (
+    format_id,
+    round_span_id,
+    study_span_id,
+    trace_id_for,
+    treatment_span_id,
+)
 from repro.seeding import stable_hash
 from repro.store.record_log import RecordLogWriter, read_log, scan_log
 
@@ -62,8 +77,8 @@ __all__ = [
     "NULL_RECORDER",
     "CrawlEventBuilder",
     "crawl_event_id",
-    "crawl_span_id",
     "read_events",
+    "check_events",
     "validate_events",
 ]
 
@@ -79,25 +94,15 @@ def crawl_event_id(log_id: str, ordinal: int, treatment: int) -> str:
     return format_id(stable_hash("event", log_id, "crawl", ordinal, treatment))
 
 
-def crawl_span_id(trace_id: str, ordinal: int, treatment: int) -> str:
-    """The exemplar link: the id the tracer gives this cell's ``crawl`` span.
-
-    Pure function of the same coordinates the event keys on (see
-    :meth:`Tracer.begin`'s treatment-root scheme), so events link to
-    trace spans without the trace existing — run ``--trace`` later with
-    the same config and the ids line up.
-    """
-    return format_id(
-        stable_hash("span", trace_id, "round", ordinal, "treatment", treatment, "crawl")
-    )
-
-
 class EventLog:
     """Streams canonical wide-event JSONL to a file.
 
     Records are CRC32-framed through :mod:`repro.store` (the payload
     inside the frame is the same canonical JSON as ever, so rollup and
-    SLO byte-identity are untouched).
+    SLO byte-identity are untouched).  A log that carries spans
+    (:meth:`emit_span`) closes its ``span`` stream with the
+    ``study.run`` root: it spans every root tree written, and its
+    ``rounds`` attr counts the ``round`` trees.
     """
 
     def __init__(self, path, *, log_id: str, meta: Optional[dict] = None):
@@ -107,6 +112,11 @@ class EventLog:
         self.log_id = log_id
         self._events = 0
         self._streams: Dict[str, int] = {}
+        # The span trees written so far: their first start, last end,
+        # and how many are rounds (the ``study.run`` root's fields).
+        self._span_start: Optional[float] = None
+        self._span_end = 0.0
+        self._rounds = 0
         self._closed = False
         self._write(
             {
@@ -127,10 +137,37 @@ class EventLog:
         self._events += 1
         self._streams[stream] = self._streams.get(stream, 0) + 1
 
+    def emit_span(self, tree: dict) -> None:
+        """Write one root span tree as a ``span`` event.
+
+        The event is the root node itself, children nested, so its
+        ``id`` is the root span's id; its ``ts`` is the root's start.
+        """
+        self.emit({**tree, "stream": "span", "ts": tree["start"]})
+        if self._span_start is None or tree["start"] < self._span_start:
+            self._span_start = tree["start"]
+        if tree["end"] > self._span_end:
+            self._span_end = tree["end"]
+        if tree["name"] == "round":
+            self._rounds += 1
+
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
+        if self._span_start is not None:
+            self.emit_span(
+                {
+                    "id": study_span_id(self.log_id),
+                    "parent": "",
+                    "name": "study.run",
+                    "start": self._span_start,
+                    "end": self._span_end,
+                    "attrs": {"rounds": self._rounds},
+                    "events": [],
+                    "children": [],
+                }
+            )
         self._write(
             {
                 "kind": "summary",
@@ -183,25 +220,36 @@ NULL_RECORDER = EventRecorder()
 
 
 class CrawlEventBuilder:
-    """Synthesizes the canonical ``crawl`` event stream for one study.
+    """Synthesizes one study's event log: crawl events, and spans if traced.
 
-    One event per (round ordinal, treatment index) cell, written in
-    canonical order as rounds complete.  Everything on the event is a
-    pure function of (config, schedule, outcome): the schedule dims
-    come from :meth:`Study.iter_rounds`, the treatment dims from the
-    study's treatment table, and the outcome from the same
-    ``(index, SerpRecord | CrawlFailure)`` stream the dataset
+    One ``crawl`` event per (round ordinal, treatment index) cell,
+    written in canonical order as rounds complete.  Everything on the
+    event is a pure function of (config, schedule, outcome): the
+    schedule dims come from :meth:`Study.iter_rounds`, the treatment
+    dims from the study's treatment table, and the outcome from the
+    same ``(index, SerpRecord | CrawlFailure)`` stream the dataset
     consumes — every run (in-process, parallel, or supervised) and
     every checkpoint replay feeds it through the run's
     :class:`~repro.core.runner.RoundMerge`.
+
+    A ``traced`` builder also writes each round's span tree ahead of
+    its cells, a supervised run's recoveries as ``supervisor.*`` spans,
+    and the ``study.run`` root.  With a
+    :class:`~repro.obs.replay.GatewayReplay`, canonical gateway spans
+    are synthesized into the round's trees here, at merge time, rather
+    than recorded live (see :mod:`repro.obs.replay` for why).
     """
 
-    def __init__(self, path, *, study):
-        from repro.obs.trace import trace_id_for
-
+    def __init__(self, path, *, study, traced: bool = False):
         fingerprint = study.checkpoint_fingerprint()
         self.log_id = trace_id_for(fingerprint)
         self.log = EventLog(path, log_id=self.log_id, meta=fingerprint)
+        self.traced = traced
+        self.replay = None
+        if traced:
+            from repro.obs.replay import GatewayReplay
+
+            self.replay = GatewayReplay.from_study(study)
         self._schedule = {
             scheduled.ordinal: scheduled for scheduled in study.iter_rounds()
         }
@@ -216,13 +264,23 @@ class CrawlEventBuilder:
             }
             for index, treatment in enumerate(study.treatments)
         ]
-        self._closed = False
 
-    def add_round(self, ordinal: int, outcomes) -> None:
-        """Write one round's cells; ``outcomes`` pairs (treatment, outcome)."""
+    def add_round(
+        self, ordinal: int, outcomes, spans: Optional[List[dict]] = None
+    ) -> None:
+        """Write one round: its span tree when traced, then its cells.
+
+        ``outcomes`` pairs (treatment, outcome); ``spans`` holds the
+        round's treatment trees sorted by treatment, which nest under
+        the round span.
+        """
         from repro.core.runner import CrawlFailure
 
         scheduled = self._schedule[ordinal]
+        if spans is not None:
+            if self.replay is not None:
+                self.replay.annotate_round(spans)
+            self.log.emit_span(self._round_tree(ordinal, spans))
         for index, outcome in outcomes:
             failed = isinstance(outcome, CrawlFailure)
             event = {
@@ -233,62 +291,84 @@ class CrawlEventBuilder:
                 "query": scheduled.query.text,
                 "day": scheduled.day_offset,
                 "outcome": outcome.kind if failed else "ok",
-                "span": crawl_span_id(self.log_id, ordinal, index),
+                "span": treatment_span_id(self.log_id, ordinal, index, "crawl"),
             }
             event.update(self._dims[index])
             self.log.emit(event)
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+    def _round_tree(self, ordinal: int, trees: List[dict]) -> dict:
+        """The round span over its treatments' trees."""
+        start = min(tree["start"] for tree in trees) if trees else 0.0
+        end = max(tree["end"] for tree in trees) if trees else start
+        attrs = {"ordinal": ordinal, "treatments": len(trees)}
+        if trees:
+            attrs["query"] = trees[0]["attrs"].get("query")
+        return {
+            "id": round_span_id(self.log_id, ordinal),
+            "parent": study_span_id(self.log_id),
+            "name": "round",
+            "start": start,
+            "end": end,
+            "attrs": attrs,
+            "events": [],
+            "children": trees,
+        }
+
+    def close(self, ledger=None) -> None:
+        """Close the log; traced, a supervised run's recovery ``ledger``
+        (a :class:`~repro.supervise.stats.SupervisorReport`) first adds
+        its ``supervisor.*`` spans."""
+        if self.traced and ledger is not None:
+            for tree in ledger.trace_trees(self.log_id):
+                self.log.emit_span(tree)
         self.log.close()
 
 
-def _split(records, body: str, label: str):
-    """(header, body records, summary, unknown-kind problems) of a log."""
+def _split(records):
+    """(header, events, summary, unknown-kind problems) of a log's records."""
     header = summary = None
-    found: List[dict] = []
+    events: List[dict] = []
     unknown: List[str] = []
     for record in records:
         kind = record.get("kind")
         if kind == "header":
             header = record
-        elif kind == body:
-            found.append(record)
+        elif kind == "event":
+            events.append(record)
         elif kind == "summary":
             summary = record
         else:
-            unknown.append(f"unknown {label} record kind {kind!r}")
-    return header, found, summary, unknown
+            unknown.append(f"unknown wide-event record kind {kind!r}")
+    return header, events, summary, unknown
 
 
-def read_header_log(path, body: str, label: str):
-    """(header, body records, summary) of a header/body/summary log.
+def read_events(path) -> Tuple[dict, List[dict], Optional[dict]]:
+    """Parse a wide-event file into (header, events, summary).
 
-    The readers of the event log and the trace.  A torn tail is dropped
-    (``summary`` is ``None`` when it held the summary line); interior
-    corruption raises :class:`~repro.store.record_log.StoreCorruption`,
-    and an unknown record kind or a missing header ``ValueError``.
+    A torn tail is dropped (``summary`` is ``None`` when it held the
+    summary line); interior corruption raises
+    :class:`~repro.store.record_log.StoreCorruption`, and an unknown
+    record kind or a missing header ``ValueError``.
     """
-    header, found, summary, unknown = _split(
-        (record for record, _ in read_log(path)), body, label
+    header, events, summary, unknown = _split(
+        record for record, _ in read_log(path)
     )
     if unknown:
         raise ValueError(unknown[0])
     if header is None:
-        raise ValueError(f"{path}: not a {label} file (no header line)")
-    return header, found, summary
+        raise ValueError(f"{path}: not a wide-event file (no header line)")
+    return header, events, summary
 
 
-def check_header_log(path, body: str, label: str, *, version: int, id_key: str):
-    """(header, body records, summary, problems) of a header/body/summary log.
+def check_events(path) -> Tuple[Optional[dict], List[dict], List[str]]:
+    """(header, events, problems) of a wide-event file, reported, never raised.
 
-    The checks the event log and the trace share, reported, never
-    raised: interior corruption, a torn tail (``truncated: true`` at
-    the durable prefix's byte offset), unknown record kinds, a missing
-    header (``header`` is then ``None``), its ``version`` and
-    ``id_key``, and the summary's presence and ``id_key``.
+    The problems: interior corruption, a torn tail (``truncated: true``
+    at the durable prefix's byte offset), unknown record kinds, a
+    missing header (``header`` is then ``None``), its ``version`` and
+    ``log_id``, the summary's presence, ``log_id`` and counts, and
+    event ids present and unique, each event with a stream and a
+    ``ts``.
     """
     report = scan_log(path)
     problems = [
@@ -302,40 +382,21 @@ def check_header_log(path, body: str, label: str, *, version: int, id_key: str):
             f"{report.durable_end} ({report.size - report.durable_end} "
             "byte(s) torn)"
         )
-    header, found, summary, unknown = _split(
-        (scanned.obj for scanned in report.records), body, label
+    header, events, summary, unknown = _split(
+        scanned.obj for scanned in report.records
     )
     problems += unknown
     if header is None:
-        problems.insert(0, f"{path}: not a {label} file (no header line)")
-        return None, found, summary, problems
-    if header.get("version") != version:
-        problems.append(f"unsupported {label} version {header.get('version')!r}")
-    if not header.get(id_key):
-        problems.append(f"header has no {id_key}")
+        problems.insert(0, f"{path}: not a wide-event file (no header line)")
+        return None, events, problems
+    if header.get("version") != EVENTS_VERSION:
+        problems.append(f"unsupported wide-event version {header.get('version')!r}")
+    if not header.get("log_id"):
+        problems.append("header has no log_id")
     if summary is None:
         problems.append("no summary line (truncated log?)")
-    elif summary.get(id_key) != header.get(id_key):
-        problems.append(f"summary {id_key} differs from header")
-    return header, found, summary, problems
-
-
-def read_events(path) -> Tuple[dict, List[dict], Optional[dict]]:
-    """Parse a wide-event file into (header, events, summary)."""
-    return read_header_log(path, "event", "wide-event")
-
-
-def validate_events(path) -> List[str]:
-    """Structural checks over a wide-event file (empty list = ok).
-
-    :func:`check_header_log`'s, then: event ids present and unique,
-    each event with a stream and a ``ts``, summary counts match.
-    """
-    header, events, summary, problems = check_header_log(
-        path, "event", "wide-event", version=EVENTS_VERSION, id_key="log_id"
-    )
-    if header is None:
-        return problems
+    elif summary.get("log_id") != header.get("log_id"):
+        problems.append("summary log_id differs from header")
     seen = set()
     streams: Dict[str, int] = {}
     for event in events:
@@ -360,4 +421,9 @@ def validate_events(path) -> List[str]:
             )
         if summary.get("streams") != streams:
             problems.append("summary stream counts differ from the file")
-    return problems
+    return header, events, problems
+
+
+def validate_events(path) -> List[str]:
+    """Structural checks over a wide-event file (empty list = ok)."""
+    return check_events(path)[2]

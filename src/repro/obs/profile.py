@@ -4,9 +4,9 @@ Every round is a barrier — the study advances when its slowest
 treatment finishes — so the number that matters is the per-round
 *critical path*: the treatment whose crawl span ends last, and how its
 virtual time splits between queue wait, service, retry backoff, and
-overhead.  The profiler reads a canonical trace file (it never touches
-a live study) and attributes every virtual minute on that path to one
-bucket:
+overhead.  The profiler reads a traced event log's spans (it never
+touches a live study) and attributes every virtual minute on that path
+to one bucket:
 
 ``queue-wait``
     time spent in ``gateway.queue`` spans (admission backlog);
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.obs.exporters import _MICROS_PER_VIRTUAL_MINUTE, read_trace
+from repro.obs.exporters import _MICROS_PER_VIRTUAL_MINUTE, SpanIndex
 from repro.obs.metrics import Histogram
 
 __all__ = [
@@ -165,18 +165,13 @@ def folded_stacks(path) -> List[str]:
     stack path and sort lexically; the output is canonical for a
     canonical trace.
     """
-    _, spans, _ = read_trace(path)
-    by_parent: Dict[str, List[dict]] = {}
-    by_id: Dict[str, dict] = {}
-    for span in spans:
-        by_id[span["id"]] = span
-        by_parent.setdefault(span["parent"], []).append(span)
+    index = SpanIndex(path)
     weights: Dict[str, int] = {}
 
     def visit(span: dict, prefix: str) -> None:
         stack = f"{prefix};{span['name']}" if prefix else span["name"]
         children = sorted(
-            by_parent.get(span["id"], []),
+            index.by_parent.get(span["id"], []),
             key=lambda child: (child["start"], child["id"]),
         )
         child_minutes = sum(child["end"] - child["start"] for child in children)
@@ -188,7 +183,7 @@ def folded_stacks(path) -> List[str]:
             visit(child, stack)
 
     for root in sorted(
-        (span for span in spans if span["parent"] not in by_id),
+        (span for span in index.spans if span["parent"] not in index.by_id),
         key=lambda span: (span["start"], span["id"]),
     ):
         visit(root, "")
@@ -196,20 +191,16 @@ def folded_stacks(path) -> List[str]:
 
 
 def write_folded(path, out) -> None:
-    """Export ``path`` (canonical JSONL trace) as folded stacks at ``out``."""
+    """Export ``path`` (a traced event log) as folded stacks at ``out``."""
     with open(out, "w", encoding="utf-8") as handle:
         for line in folded_stacks(path):
             handle.write(line + "\n")
 
 
 def profile_trace(path) -> TraceProfile:
-    """Profile a canonical trace file (as written by ``repro run --trace``)."""
-    header, spans, _ = read_trace(path)
-    by_parent: Dict[str, List[dict]] = {}
-    by_id: Dict[str, dict] = {}
-    for span in spans:
-        by_id[span["id"]] = span
-        by_parent.setdefault(span["parent"], []).append(span)
+    """Profile a traced event log (as written by ``repro run --trace``)."""
+    index = SpanIndex(path)
+    spans, by_parent = index.spans, index.by_parent
 
     def as_tree(span: dict) -> dict:
         node = dict(span)
@@ -259,7 +250,7 @@ def profile_trace(path) -> TraceProfile:
         for bucket, minutes in round_profile.attribution.items():
             totals[bucket] += minutes
     return TraceProfile(
-        trace_id=header["trace_id"],
+        trace_id=index.trace_id,
         rounds=rounds,
         totals=totals,
         span_minutes=span_minutes,

@@ -35,11 +35,10 @@ from typing import List, Optional
 from repro.engine.datacenters import Datacenter
 from repro.engine.frontend import DEFAULT_LOCATION
 from repro.geo.coords import LatLon
-from repro.seeding import stable_hash
 from repro.serve.admission import ReplicaQueue
 from repro.serve.routing import make_policy
 
-from repro.obs.trace import format_id
+from repro.obs.trace import child_span_id
 
 __all__ = ["GatewayReplay"]
 
@@ -133,12 +132,8 @@ class GatewayReplay:
             )
             return
         seq = len(attempt["children"])
-        queue_id = format_id(
-            stable_hash("span", attempt["id"], "gateway.queue", seq)
-        )
-        service_id = format_id(
-            stable_hash("span", attempt["id"], "gateway.service", seq + 1)
-        )
+        queue_id = child_span_id(attempt["id"], "gateway.queue", seq)
+        service_id = child_span_id(attempt["id"], "gateway.service", seq + 1)
         attempt["children"].append(
             {
                 "id": queue_id,

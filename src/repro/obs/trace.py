@@ -22,8 +22,10 @@ Determinism is structural, not incidental:
 The tracer is **disabled by default** and every hook is a cheap
 early-return when it is off, a cost inside every perfbench workload.
 Workers emit per-shard span trees each round; the parent merges them in
-canonical round order (the checkpoint-journal design), which is why
-trace files are byte-identical for any worker count.
+canonical round order (the checkpoint-journal design) and writes each
+root tree as one ``span`` event of the run's wide-event log
+(:mod:`repro.obs.events`), which is why a traced log is byte-identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -33,9 +35,17 @@ from typing import Dict, List, Optional
 
 from repro.seeding import stable_hash
 
-__all__ = ["TRACE_VERSION", "Tracer", "NULL_TRACER", "trace_id_for", "format_id"]
-
-TRACE_VERSION = 1
+__all__ = [
+    "Tracer",
+    "NULL_TRACER",
+    "trace_id_for",
+    "format_id",
+    "study_span_id",
+    "round_span_id",
+    "treatment_span_id",
+    "child_span_id",
+    "supervisor_span_id",
+]
 
 _ID_MASK = (1 << 64) - 1
 
@@ -54,6 +64,43 @@ def trace_id_for(fingerprint: dict) -> str:
     return format_id(
         stable_hash("trace-id", json.dumps(fingerprint, sort_keys=True))
     )
+
+
+# -- deterministic span ids --------------------------------------------------
+# The tracer, the event log's round and root spans, the crawl events'
+# exemplar links, the gateway replay and the supervisor's recovery
+# spans all key here.
+
+
+def study_span_id(trace_id: str) -> str:
+    """The ``study.run`` root span's id."""
+    return format_id(stable_hash("span", trace_id, "root"))
+
+
+def round_span_id(trace_id: str, ordinal: int) -> str:
+    """Round ``ordinal``'s span id."""
+    return format_id(stable_hash("span", trace_id, "round", ordinal))
+
+
+def treatment_span_id(trace_id: str, ordinal: int, treatment: int, name: str) -> str:
+    """The id of the root span ``name`` a treatment opens in round ``ordinal``.
+
+    The ``crawl`` span of cell (round, treatment) — which is why crawl
+    events link to their span without the trace existing.
+    """
+    return format_id(
+        stable_hash("span", trace_id, "round", ordinal, "treatment", treatment, name)
+    )
+
+
+def child_span_id(parent_id: str, name: str, seq: int) -> str:
+    """The id of span ``name``, its parent's ``seq``-th child."""
+    return format_id(stable_hash("span", parent_id, name, seq))
+
+
+def supervisor_span_id(trace_id: str, seq: int) -> str:
+    """The id of the ``seq``-th recovery event's ``supervisor.*`` span."""
+    return format_id(stable_hash("supervisor-span", trace_id, seq))
 
 
 class _SpanHandle:
@@ -120,14 +167,6 @@ class Tracer:
         self._trees.clear()
         self._ordinal = None
 
-    # -- deterministic ids ---------------------------------------------------
-
-    def study_span_id(self) -> str:
-        return format_id(stable_hash("span", self.trace_id, "root"))
-
-    def round_span_id(self, ordinal: int) -> str:
-        return format_id(stable_hash("span", self.trace_id, "round", ordinal))
-
     # -- recording -----------------------------------------------------------
 
     def begin_round(self, ordinal: int) -> None:
@@ -149,20 +188,15 @@ class Tracer:
         if self._stack:
             parent = self._stack[-1]
             parent_id = parent.span_id
-            span_id = format_id(
-                stable_hash("span", parent_id, name, parent.child_seq)
-            )
+            span_id = child_span_id(parent_id, name, parent.child_seq)
             parent.child_seq += 1
         elif self._ordinal is not None and "treatment" in attrs:
-            parent_id = self.round_span_id(self._ordinal)
-            span_id = format_id(
-                stable_hash(
-                    "span", self.trace_id, "round", self._ordinal,
-                    "treatment", attrs["treatment"], name,
-                )
+            parent_id = round_span_id(self.trace_id, self._ordinal)
+            span_id = treatment_span_id(
+                self.trace_id, self._ordinal, attrs["treatment"], name
             )
         else:
-            parent_id = self.study_span_id()
+            parent_id = study_span_id(self.trace_id)
             span_id = format_id(
                 stable_hash("span", self.trace_id, "seq", self._root_seq)
             )

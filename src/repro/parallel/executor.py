@@ -53,9 +53,9 @@ Design
   arrival bookkeeping: once every shard has delivered a round, it
   sorts the outcomes by treatment index and commits the round
   through the run's :class:`~repro.core.runner.RoundMerge`, the same
-  commit the in-process run makes — journal, trace, events, then
-  failures, dataset, and sink.  :class:`CrawlStats` counters are sums
-  and merge associatively.
+  commit the in-process run makes — journal, event log (spans
+  included when traced), then failures, dataset, and sink.
+  :class:`CrawlStats` counters are sums and merge associatively.
 * **Recovery is a switch, not a second executor.**  With
   ``supervise=True`` a crashed, hung, or erroring worker's shard is
   re-executed from its last accepted snapshot (see
@@ -67,7 +67,7 @@ Design
   worker ships its :meth:`Study.capture_state` snapshot with every
   round; the merge journals a round (outcomes, every shard's state,
   and, traced, the round's spans) durably *before* releasing it to the
-  trace, event log, dataset, and sink.  On resume, every shard
+  event log, dataset, and sink.  On resume, every shard
   restores its own snapshot and re-enters the schedule at the first
   un-journalled round — a worker that had raced ahead of the
   durable prefix simply re-crawls, byte-identically, because its state
@@ -550,7 +550,7 @@ class _Executor:
             )
 
     def close(self) -> None:
-        """Stop every worker, then close the merge's journal and logs."""
+        """Stop every worker, then close the merge's journal and log."""
         self._shutdown()
         self.merge.close(self.report)
 
@@ -900,11 +900,11 @@ def run_parallel(
         sink: Optional per-record callable, as in :meth:`Study.run`.
         start_method: ``multiprocessing`` start method override
             (default: ``fork`` when available).
-        checkpoint, trace, events: As in :meth:`Study.run`; a
-            resumed journal restarts every shard from its durable
-            boundary with its own state restored, after the merge
-            releases the journalled rounds (and, traced, their spans)
-            again.
+        checkpoint, trace, events: As in :meth:`Study.run` (``trace``
+            and ``events`` name one log; pass one); a resumed journal
+            restarts every shard from its durable boundary with its
+            own state restored, after the merge releases the
+            journalled rounds (and, traced, their spans) again.
         supervise: Turn recovery on: crashed, hung, and erroring
             workers' shards are re-executed from their last snapshot
             instead of failing the run, and the

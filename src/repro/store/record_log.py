@@ -1,7 +1,8 @@
 """CRC32-framed JSONL record logs with a scavenging scanner.
 
 Every journal and log in the system — checkpoint, audit store, wide
-events, trace — is a sequence of framed lines::
+events (a traced run's spans included) — is a sequence of framed
+lines::
 
     ~F1 <length:08x> <crc32:08x> <payload>\\n
 

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 from repro.obs.metrics import MetricSet
-from repro.seeding import stable_hash
+from repro.obs.trace import study_span_id, supervisor_span_id
 
 __all__ = ["SupervisorStats", "SupervisorEvent", "SupervisorReport"]
 
@@ -100,22 +100,22 @@ class SupervisorReport:
             "events": [asdict(event) for event in self.events],
         }
 
-    def trace_trees(self, trace_id: str, root_id: str) -> List[dict]:
-        """The recovery ledger as zero-length spans under the study root."""
-        from repro.obs.trace import format_id
+    def trace_trees(self, trace_id: str) -> List[dict]:
+        """The recovery ledger as zero-length spans under the study root.
 
+        ``detail`` stays in the ledger: it can carry wall-clock readings
+        (a stall's silence), and no wall-clock value enters a span.
+        """
         return [
             {
-                "id": format_id(stable_hash("supervisor-span", trace_id, seq)),
-                "parent": root_id,
+                "id": supervisor_span_id(trace_id, seq),
+                "parent": study_span_id(trace_id),
                 "name": f"supervisor.{event.kind}",
                 "start": event.virtual_minutes,
                 "end": event.virtual_minutes,
                 "attrs": {
                     key: getattr(event, key)
-                    for key in (
-                        "worker", "shard", "generation", "resume_ordinal", "detail"
-                    )
+                    for key in ("worker", "shard", "generation", "resume_ordinal")
                 },
                 "events": [],
                 "children": [],

@@ -76,15 +76,14 @@ def _checkpointed_run(study, path, sink, workers, options):
 
 
 def _log_options(prefix) -> dict:
-    """Trace and wide-event log paths next to the journal ``<prefix>.ckpt``."""
-    return {"trace": f"{prefix}.trace", "events": f"{prefix}.events"}
+    """The traced event log's path next to the journal ``<prefix>.ckpt``."""
+    return {"trace": f"{prefix}.trace"}
 
 
 def _logs(prefix) -> tuple:
-    """The trace, wide-event log, and journal a run left at ``prefix``."""
+    """The traced event log and the journal a run left at ``prefix``."""
     return tuple(
-        open(f"{prefix}{suffix}", "rb").read()
-        for suffix in (".trace", ".events", ".ckpt")
+        open(f"{prefix}{suffix}", "rb").read() for suffix in (".trace", ".ckpt")
     )
 
 

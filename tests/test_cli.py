@@ -329,6 +329,19 @@ class TestObservabilityCommands:
         assert main(["trace", trace, "--check"]) == 0
         assert ": ok (trace " in capsys.readouterr().out
 
+    def test_run_trace_and_events_together_is_a_usage_error(self, tmp_path, capsys):
+        argv = [
+            "run", "--scale", "small", "--days", "1",
+            "--out", str(tmp_path / "x.jsonl"),
+            "--trace", str(tmp_path / "x.trace"),
+            "--events", str(tmp_path / "x.events"),
+        ]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "not allowed with argument --trace" in capsys.readouterr().err
+        assert not (tmp_path / "x.trace").exists()
+
     def test_serve_bench_trace(self, tmp_path, capsys):
         trace = tmp_path / "serve.trace.jsonl"
         assert main(

@@ -7,6 +7,7 @@ from repro.core.experiment import StudyConfig
 from repro.core.runner import MINUTES_PER_DAY, Study
 from repro.faults.plan import FaultPlan
 from repro.obs.events import read_events
+from repro.obs.exporters import read_trace
 from repro.queries.corpus import build_corpus
 from repro.queries.model import Query, QueryCategory
 
@@ -210,8 +211,8 @@ class _SinkFailure(Exception):
 
 class TestOneRoundMerge:
     """Every run crawls through ``run_shard`` and releases each round
-    through one merge: journal, trace, events, then failures, dataset,
-    and sink."""
+    through one merge: journal, event log (with its spans when traced),
+    then failures, dataset, and sink."""
 
     @pytest.mark.parametrize("journalled", [False, True], ids=["plain", "checkpoint"])
     def test_every_round_is_prewarmed(self, tmp_path, monkeypatch, journalled):
@@ -257,18 +258,28 @@ class TestOneRoundMerge:
         assert logs[1] == logs[2]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_trace_and_events_in_one_run_match_single_log_runs(self, tmp_path, workers):
+    def test_traced_log_holds_the_untraced_crawl_events(self, tmp_path, workers):
         config = _four_round_config(
             route_via_gateway=True,
             fault_plan=FaultPlan.named("flaky-network", seed=7),
             machine_count=5,
         )
-        both_trace, both_events = tmp_path / "both.trace", tmp_path / "both.events"
-        only_trace, only_events = tmp_path / "only.trace", tmp_path / "only.events"
-        Study(config).run(
-            workers=workers, trace=str(both_trace), events=str(both_events)
-        )
-        Study(config).run(workers=workers, trace=str(only_trace))
-        Study(config).run(workers=workers, events=str(only_events))
-        assert both_trace.read_bytes() == only_trace.read_bytes()
-        assert both_events.read_bytes() == only_events.read_bytes()
+        traced, untraced = tmp_path / "run.trace", tmp_path / "run.events"
+        Study(config).run(workers=workers, trace=str(traced))
+        Study(config).run(workers=workers, events=str(untraced))
+        header, events, _ = read_events(traced)
+        assert header == read_events(untraced)[0]
+        crawl = [event for event in events if event["stream"] == "crawl"]
+        assert crawl == read_events(untraced)[1]
+        _, spans, _ = read_trace(traced)
+        crawl_spans = {span["id"] for span in spans if span["name"] == "crawl"}
+        assert all(event["span"] in crawl_spans for event in crawl)
+
+    def test_trace_and_events_together_are_refused(self, tmp_path):
+        trace, events = tmp_path / "run.trace", tmp_path / "run.events"
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="same event log"):
+                Study(_four_round_config()).run(
+                    workers=workers, trace=str(trace), events=str(events)
+                )
+        assert not trace.exists() and not events.exists()

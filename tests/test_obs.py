@@ -1,7 +1,8 @@
 """Observability layer: deterministic traces, unified metrics, profiling.
 
-The tentpole invariant under test: a trace written with ``run(trace=
-path)`` is **byte-identical for any worker count** — gateway on or
+The tentpole invariant under test: the event log written with
+``run(trace=path)``, its crawl events plus one ``span`` event per root
+span tree, is **byte-identical for any worker count** — gateway on or
 off, faults active — because span identity is positional (round,
 treatment, sibling ordinal), workers emit per-round trees the parent
 merges in canonical order, and gateway spans are synthesized at merge
@@ -22,13 +23,15 @@ from repro.core.runner import CrawlStats, Study
 from repro.faults.checkpoint import CheckpointError
 from repro.faults.injector import FaultStats
 from repro.faults.plan import FaultPlan
+from repro.obs.events import EventLog, read_events
 from repro.obs.exporters import chrome_trace, read_trace, validate_trace
 from repro.obs.metrics import Histogram, MetricsRegistry, render_prometheus
 from repro.obs.profile import profile_trace
-from repro.obs.trace import NULL_TRACER, Tracer, trace_id_for
+from repro.obs.trace import NULL_TRACER, Tracer, study_span_id, trace_id_for
 from repro.queries.corpus import build_corpus
 from repro.serve.stats import GatewayStats
 from repro.store import fsck_path
+from repro.store.record_log import reframe_line, unframe_line
 
 FLAKY = FaultPlan.named("flaky-network", seed=7)
 
@@ -274,11 +277,88 @@ class TestTraceFile:
         assert validate_trace(trace_path) == []
 
     def test_fsck_finds_the_trace_clean(self, trace_path):
-        _, spans, _ = read_trace(trace_path)
+        _, events, _ = read_events(trace_path)
         report = fsck_path(trace_path)
         assert report.exit_code == 0
         assert not report.truncated and report.corrupt_records == 0
-        assert report.records == len(spans) + 2  # plus header and summary
+        assert report.records == len(events) + 2  # plus header and summary
+
+    def test_one_log_holds_crawl_events_and_span_trees(self, trace_path):
+        header, events, summary = read_events(trace_path)
+        study = Study(_config(route_via_gateway=True))
+        rounds = study.round_count()
+        assert summary["streams"] == {
+            "crawl": rounds * len(study.treatments),
+            "span": rounds + 1,  # one tree per round, then study.run
+        }
+        # Each round's tree, then its crawl cells; study.run closes the log.
+        expected = []
+        for ordinal in range(rounds):
+            expected += [("span", ordinal)]
+            expected += [("crawl", ordinal)] * len(study.treatments)
+        assert [
+            ("crawl", event["ordinal"])
+            if event["stream"] == "crawl"
+            else (event["stream"], event["attrs"]["ordinal"])
+            for event in events[:-1]
+        ] == expected
+        root = events[-1]
+        assert root["name"] == "study.run" and root["id"] == study_span_id(
+            header["log_id"]
+        )
+        for tree in events:
+            if tree["stream"] == "span":
+                assert tree["ts"] == tree["start"]
+
+    def test_check_reports_damage_without_raising(self, trace_path, tmp_path, capsys):
+        from repro.cli import main
+
+        lines = trace_path.read_text(encoding="utf-8").splitlines()
+        first_tree = next(i for i, line in enumerate(lines) if '"stream":"span"' in line)
+
+        def damaged(name, damage):
+            tree = json.loads(unframe_line(lines[first_tree]))
+            damage(tree)
+            path = tmp_path / name
+            edited = lines[:first_tree] + [reframe_line(json.dumps(tree))]
+            path.write_text(
+                "\n".join(edited + lines[first_tree + 1 :]) + "\n", encoding="utf-8"
+            )
+            return path
+
+        untraced = tmp_path / "untraced.events.jsonl"
+        log = EventLog(untraced, log_id="abc")
+        log.emit({"id": "e0", "stream": "crawl", "ts": 0.0})
+        log.close()
+        old_format = tmp_path / "old.trace.jsonl"
+        old_format.write_text(
+            "".join(
+                reframe_line(json.dumps(record)) + "\n"
+                for record in (
+                    {"kind": "header", "version": 1, "trace_id": "abc", "meta": {}},
+                    {"kind": "span", "id": "r", "parent": "", "name": "study.run",
+                     "start": 0.0, "end": 0.0, "attrs": {}, "events": []},
+                    {"kind": "summary", "trace_id": "abc", "rounds": 0, "spans": 1},
+                )
+            ),
+            encoding="utf-8",
+        )
+        cases = {
+            damaged(
+                "no-end.trace.jsonl", lambda tree: tree["children"][0].pop("end")
+            ): "has no numeric start and end",
+            damaged(
+                "no-ordinal.trace.jsonl", lambda tree: tree["attrs"].pop("ordinal")
+            ): "has no ordinal",
+            untraced: "written without --trace",
+            old_format: "unknown wide-event record kind 'span'",
+        }
+        for path, expected in cases.items():
+            problems = validate_trace(path)
+            assert any(expected in problem for problem in problems), (path, problems)
+            assert main(["trace", str(path), "--check"]) == 1
+            err = capsys.readouterr().err
+            assert "INVALID: " in err and expected in err
 
     def test_header_meta_is_the_fingerprint(self, trace_path):
         header, _, _ = read_trace(trace_path)
@@ -307,14 +387,15 @@ class TestTraceFile:
         _, spans, summary = read_trace(trace_path)
         rounds = [span for span in spans if span["name"] == "round"]
         assert len(rounds) == Study(_config()).round_count()
-        assert summary["rounds"] == len(rounds)
+        (root,) = [span for span in spans if span["name"] == "study.run"]
+        assert root["attrs"]["rounds"] == len(rounds)
 
     def test_validator_catches_tampering(self, trace_path, tmp_path):
         lines = trace_path.read_text(encoding="utf-8").splitlines()
-        spans = [i for i, line in enumerate(lines) if '"kind":"span"' in line]
+        trees = [i for i, line in enumerate(lines) if '"stream":"span"' in line]
         broken = tmp_path / "tampered.trace.jsonl"
         broken.write_text(
-            "\n".join(lines[: spans[3]] + lines[spans[3] + 1 :]) + "\n",
+            "\n".join(lines[: trees[3]] + lines[trees[3] + 1 :]) + "\n",
             encoding="utf-8",
         )
         assert validate_trace(broken)

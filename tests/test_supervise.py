@@ -20,6 +20,9 @@ from repro.core.comparisons import per_location_coverage
 from repro.core.experiment import StudyConfig
 from repro.core.runner import Study
 from repro.faults.plan import FaultPlan
+from repro.obs.events import read_events
+from repro.obs.exporters import validate_trace
+from repro.obs.trace import study_span_id
 from repro.parallel import WorkerFailure, plan_shards, run_parallel
 from repro.queries.corpus import build_corpus
 from repro.supervise import KillSpec, SupervisorPolicy
@@ -344,6 +347,36 @@ class TestObservability:
         assert metrics["supervisor_crashes_detected_total"]["value"] == 1
         assert metrics["supervisor_heartbeats_total"]["value"] >= 6
         assert metrics["supervisor_quarantined_shards_total"]["value"] == 0
+
+    def test_traced_recovery_ends_the_log_as_supervisor_spans(self, tmp_path):
+        trace = tmp_path / "supervised.trace"
+        _, study = _run(
+            _config(),
+            workers=2,
+            trace=str(trace),
+            kill_specs=(KillSpec(shard=0, ordinal=1),),
+        )
+        assert validate_trace(trace) == []
+        header, events, _ = read_events(trace)
+        ledger = study.supervisor.events
+        # A crash, then a respawn or, if the other worker is idle by
+        # then, a reassignment.
+        assert len(ledger) == 2 and ledger[0].kind == "crash-detected"
+        *recoveries, root = [e for e in events if e["stream"] == "span"][-3:]
+        assert root["name"] == "study.run"
+        for span, event in zip(recoveries, ledger):
+            assert span["name"] == f"supervisor.{event.kind}"
+            # The kill fires after round 1 is delivered: shard 0 resumes at 2.
+            assert span["attrs"] == {
+                "worker": event.worker,
+                "shard": 0,
+                "generation": event.generation,
+                "resume_ordinal": 2,
+            }
+            assert span["parent"] == study_span_id(header["log_id"])
+            assert span["start"] == span["end"] == span["ts"] == event.virtual_minutes
+            # The wall-clock-bearing detail stays in the ledger.
+            assert event.detail and "detail" not in span["attrs"]
 
     def test_ledger_round_trips_to_dict(self):
         got, study = _run(

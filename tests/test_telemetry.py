@@ -31,7 +31,6 @@ from repro.obs.events import (
     validate_events,
 )
 from repro.obs.exporters import (
-    TraceBuilder,
     chrome_trace,
     read_trace,
     speedscope_trace,
@@ -138,6 +137,25 @@ class TestCrawlEventDeterminism:
         Study(_config()).run(
             checkpoint=str(tmp_path / "crawl.ckpt"), events=str(events_path)
         )
+        assert events_path.read_bytes() == uninterrupted
+
+    def test_untraced_resume_of_a_traced_journal_writes_no_spans(self, tmp_path):
+        class Killed(Exception):
+            pass
+
+        def dying_sink(record):
+            raise Killed
+
+        uninterrupted = _event_bytes(_config(), tmp_path / "base.events", 1)
+        checkpoint = str(tmp_path / "crawl.ckpt")
+        with pytest.raises(Killed):
+            Study(_config()).run(
+                sink=dying_sink,
+                checkpoint=checkpoint,
+                trace=str(tmp_path / "killed.trace"),
+            )
+        events_path = tmp_path / "resumed.events"
+        Study(_config()).run(checkpoint=checkpoint, events=str(events_path))
         assert events_path.read_bytes() == uninterrupted
 
     def test_events_do_not_perturb_the_dataset(self, tmp_path):
@@ -579,9 +597,10 @@ class TestFleetChromeTrace:
         tracer.enable(trace_id)
         harness.fleet.tracer = tracer
         run_load(harness.fleet, harness.loadgen, 60)
-        builder = TraceBuilder(str(path), trace_id=trace_id, meta=meta)
-        builder.add_trees(tracer.drain())
-        builder.close()
+        log = EventLog(str(path), log_id=trace_id, meta=meta)
+        for tree in tracer.drain():
+            log.emit_span(tree)
+        log.close()
         return path
 
     def test_trace_validates_and_covers_every_request(self, fleet_trace):
