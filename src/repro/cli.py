@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--supervise",
         action="store_true",
         help="run workers under repro.supervise: heartbeat monitoring, "
-        "crash/hang recovery, shard reassignment",
+        "crash/hang recovery by respawning the failed shard",
     )
     run.add_argument(
         "--metrics",
@@ -499,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--check",
         action="store_true",
-        help="structural validation; non-zero exit on problems",
+        help="print the structural validation verdict (every output "
+        "validates first: INVALID: lines and exit 1 on problems)",
     )
     trace.add_argument(
         "--chrome",
@@ -1528,13 +1529,16 @@ def _cmd_trace(args) -> int:
     )
     from repro.obs.profile import profile_trace, write_folded
 
+    # Every output reads the log as a trace, so every path validates it
+    # first: a log it cannot read is reported, never raised or rendered
+    # as an empty trace.
+    problems = validate_trace(args.path)
+    if problems:
+        for problem in problems:
+            print(f"INVALID: {problem}", file=sys.stderr)
+        return 1
     acted = False
     if args.check:
-        problems = validate_trace(args.path)
-        if problems:
-            for problem in problems:
-                print(f"INVALID: {problem}", file=sys.stderr)
-            return 1
         header, spans, _ = read_trace(args.path)
         rounds = sum(span["name"] == "round" for span in spans)
         print(

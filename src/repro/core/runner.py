@@ -554,10 +554,9 @@ class Study:
                 ``trace`` or ``events``, not both (``ValueError``).
             supervise: Turn on recovery in the parallel executor
                 (see :mod:`repro.supervise`): a crashed, hung, or
-                erroring worker's shard is re-executed from its last
-                snapshot (respawn or reassignment) with the merged
-                output still byte-identical, instead of failing the
-                run.  Applies even at ``workers=1`` (a single
+                erroring shard is respawned as itself in a new worker
+                process from its last snapshot, with the merged output
+                still byte-identical, instead of failing the run.  Applies even at ``workers=1`` (a single
                 supervised worker still gets crash recovery), and
                 composes with ``checkpoint`` — the parent journals
                 every shard's snapshot, so a killed supervised run

@@ -619,8 +619,6 @@ def build_study_registry(study, *, include_caches: bool = False) -> MetricsRegis
             "stalls_detected": "workers killed for missing their deadline",
             "worker_errors": "structured exceptions reported by workers",
             "respawns": "replacement worker processes started",
-            "reassignments": "shards handed to an already-live worker",
-            "workers_lost": "worker slots permanently retired",
             "quarantined_shards": "shards given up on after repeated failures",
             "quarantined_failures": "result cells synthesized as shard-quarantined",
         }

@@ -38,27 +38,29 @@ Design
   executions that built from the config (0 for unsupervised runs on
   fork platforms — the invariant the tests pin).  Supervised runs
   leave the parent cold and build every shard execution from the
-  config, so a re-execution after a failure starts exactly like the
-  first one.
+  config, so a respawn after a failure starts exactly like the
+  first execution.
 * **Everything else is request-determined.**  Nonces derive from
   (browser id, per-browser ordinal); DNS rotation keys on the nonce;
   per-datacenter index skew keys on the DNS-resolved frontend IP;
   sessions key on per-browser cookies.  None of it depends on how
   requests from different treatments interleave.
-* **One loop, one protocol, one merge.**  Workers loop on a private
-  command queue, executing ``run`` assignments through
-  :meth:`Study.run_shard` — the loop the in-process run uses — and
-  streaming ``heartbeat`` / ``round`` / ``shard-done`` / ``error``
-  messages over one shared result queue.  The parent keeps only the
-  arrival bookkeeping: once every shard has delivered a round, it
-  sorts the outcomes by treatment index and commits the round
-  through the run's :class:`~repro.core.runner.RoundMerge`, the same
-  commit the in-process run makes — journal, event log (spans
-  included when traced), then failures, dataset, and sink.
-  :class:`CrawlStats` counters are sums and merge associatively.
+* **One loop, one protocol, one merge.**  Each shard runs in its own
+  one-shot worker process, which crawls it from its resume point
+  through :meth:`Study.run_shard` — the loop the in-process run uses —
+  streams ``heartbeat`` / ``round`` messages and then ``shard-done``
+  (or ``error``) over one shared result queue, and exits.  Messages
+  carry ``(shard, generation)``.  The parent keeps only the arrival
+  bookkeeping: once every shard has delivered a round, it sorts the
+  outcomes by treatment index and commits the round through the
+  run's :class:`~repro.core.runner.RoundMerge`, the same commit the
+  in-process run makes — journal, event log (spans included when
+  traced), then failures, dataset, and sink.  :class:`CrawlStats`
+  counters are sums and merge associatively.
 * **Recovery is a switch, not a second executor.**  With
-  ``supervise=True`` a crashed, hung, or erroring worker's shard is
-  re-executed from its last accepted snapshot (see
+  ``supervise=True`` a crashed, hung, or erroring shard is respawned
+  as itself — a new process, generation + 1 — from its last accepted
+  snapshot, and messages from earlier generations are ignored (see
   :mod:`repro.supervise` for the policy).  Without it the same
   watchdog turns the first crash or stall into a structured
   :class:`WorkerFailure`, and a worker exception into a
@@ -72,7 +74,7 @@ Design
   un-journalled round — a worker that had raced ahead of the
   durable prefix simply re-crawls, byte-identically, because its state
   was reset to the prefix boundary.  A quarantined shard has no state
-  to journal; its slot holds a marker instead, so a resumed run
+  to journal; its state slot holds a marker instead, so a resumed run
   re-quarantines it rather than re-crawling it.
 
 The result: ``SerpDataset``, ``CrawlStats``, and the failure list are
@@ -89,8 +91,7 @@ import pickle
 import queue as queue_module
 import time
 import traceback
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.datastore import SerpDataset
@@ -226,13 +227,11 @@ class _WorkerHarness:
 
     def __init__(
         self,
-        worker_id: int,
         shard_id: int,
         generation: int,
         result_queue,
         kill_specs: Sequence[KillSpec],
     ) -> None:
-        self.worker_id = worker_id
         self.shard_id = shard_id
         self.generation = generation
         self.queue = result_queue
@@ -271,12 +270,12 @@ class _WorkerHarness:
         self._ordinal = ordinal
         self._submits = 0
         self.queue.put(
-            ("heartbeat", self.worker_id, self.shard_id, ordinal, timestamp)
+            ("heartbeat", self.shard_id, self.generation, timestamp)
         )
 
     def emit_round(self, ordinal: int, outcomes, state, spans) -> None:
         self.queue.put(
-            ("round", self.worker_id, self.shard_id, ordinal, outcomes, state, spans)
+            ("round", self.shard_id, self.generation, ordinal, outcomes, state, spans)
         )
         for spec in self.specs:
             if spec.request is None and spec.ordinal == ordinal:
@@ -319,69 +318,60 @@ class _WorkerHarness:
         os._exit(_BOUNDARY_CRASH_EXIT if flush else _MIDROUND_CRASH_EXIT)
 
 
-def _worker_loop(
-    worker_id: int,
+def _worker_main(
+    shard_id: int,
+    generation: int,
+    indices: Tuple[int, ...],
+    start_ordinal: int,
+    state: Optional[dict],
     payload,
     result_queue,
-    command_queue,
     kill_specs: Tuple[KillSpec, ...],
     recover: bool,
     capture: bool,
     trace: bool,
 ) -> None:
-    """Worker entry point: execute shard assignments until told to exit.
+    """Worker entry point: crawl one shard once, report, and exit.
 
     ``payload`` is the parent's built-and-warmed :class:`Study`
     (unsupervised runs: inherited copy-on-write under ``fork``,
     arriving pickled under ``spawn``) or a :class:`StudyConfig`
     (supervised runs, and the fallback for a study that will not
-    pickle).  Only the first assignment may crawl on an inherited
-    study; any later one builds a fresh apparatus from the config.  The
-    assignment's snapshot, when given, is restored first, so a resumed,
-    reassigned, or respawned shard continues exactly where its last
-    accepted round left off.  ``shard-done`` reports whether the
-    execution built from the config.  ``capture`` ships a
-    :meth:`Study.capture_state` snapshot with every round; ``trace``
-    ships the round's span trees.
+    pickle).  ``state``, when given, is restored first, so a resumed or
+    respawned shard continues exactly where its last accepted round
+    left off.  ``shard-done`` reports whether the execution built from
+    the config; a shard that raises reports its traceback instead.
+    ``capture`` ships a :meth:`Study.capture_state` snapshot with every
+    round; ``trace`` ships the round's span trees.
     """
-    while True:
-        command = command_queue.get()
-        if command[0] == "exit":
-            return
-        _, shard_id, indices, start_ordinal, state, generation = command
-        try:
-            rebuilt = not isinstance(payload, Study)
-            study = Study(payload) if rebuilt else payload
-            payload = study.config
-            if state is not None:
-                study.restore_state(state)
-            harness = _WorkerHarness(
-                worker_id, shard_id, generation, result_queue, kill_specs
+    try:
+        rebuilt = not isinstance(payload, Study)
+        study = Study(payload) if rebuilt else payload
+        if state is not None:
+            study.restore_state(state)
+        harness = _WorkerHarness(shard_id, generation, result_queue, kill_specs)
+        if recover:
+            harness.arm(study)
+        study.run_shard(
+            list(indices),
+            on_round=harness.emit_round,
+            on_round_start=harness.heartbeat,
+            start_ordinal=start_ordinal,
+            capture_state=capture,
+            trace=trace,
+        )
+        result_queue.put(
+            (
+                "shard-done",
+                shard_id,
+                generation,
+                study.stats,
+                study.fault_stats,
+                rebuilt,
             )
-            if recover:
-                harness.arm(study)
-            study.run_shard(
-                list(indices),
-                on_round=harness.emit_round,
-                on_round_start=harness.heartbeat,
-                start_ordinal=start_ordinal,
-                capture_state=capture,
-                trace=trace,
-            )
-            result_queue.put(
-                (
-                    "shard-done",
-                    worker_id,
-                    shard_id,
-                    study.stats,
-                    study.fault_stats,
-                    rebuilt,
-                )
-            )
-        except Exception:  # an interrupt ends the worker: the parent sees a crash
-            result_queue.put(
-                ("error", worker_id, shard_id, traceback.format_exc())
-            )
+        )
+    except Exception:  # an interrupt ends the worker: the parent sees a crash
+        result_queue.put(("error", shard_id, generation, traceback.format_exc()))
 
 
 # ---------------------------------------------------------------------------
@@ -401,30 +391,19 @@ class _ShardState:
     """Last accepted round's :meth:`Study.capture_state` payload, or the
     quarantine marker once the shard is given up on."""
     generation: int = 0
-    """Total failures so far == incarnation number of the next run."""
+    """Total failures so far == generation of the current process."""
     failures_since_progress: int = 0
     done: bool = False
     quarantined: bool = False
     last_virtual: float = 0.0
     """Virtual minutes of the last heartbeat (schedule position)."""
-
-
-@dataclass
-class _WorkerSlot:
-    """Parent-side bookkeeping for one worker slot."""
-
-    worker_id: int
-    process: multiprocessing.process.BaseProcess
-    command_queue: object
-    shard: Optional[int] = None
-    """Shard this slot is executing (None = idle)."""
-    dead: bool = False
-    retired: bool = False
-    """Counted as lost capacity already (degradation N -> N-1)."""
-    last_message_wall: float = field(default_factory=time.monotonic)
-    leader_at_assign: Optional[int] = None
-    """The leader's next round when the slot was assigned, until the
-    worker's first message of that assignment (None after)."""
+    process: Optional[multiprocessing.process.BaseProcess] = None
+    """The current generation's worker process."""
+    last_message_wall: float = 0.0
+    """Wall-clock time of the current process's spawn or last message."""
+    leader_at_spawn: Optional[int] = None
+    """The leader's next round when the current process was spawned,
+    until its first message (None after)."""
 
 
 class _Executor:
@@ -460,15 +439,12 @@ class _Executor:
             _ShardState(shard_id=i, indices=tuple(indices))
             for i, indices in enumerate(plan.assignments)
         ]
-        self.slots: List[_WorkerSlot] = []
-        self.orphans: deque = deque()
-        self.respawns_used = 0
         self.result_queue = context.Queue(
             maxsize=plan.workers * _QUEUE_DEPTH_PER_WORKER
         )
         # Merge state, keyed by round ordinal.  Arrivals hold shard-id
-        # sets: a shard's round can arrive from any incarnation, but is
-        # accepted only once.
+        # sets: each shard's round is accepted once, from the shard's
+        # current generation.
         self.pending: dict = {}  # (treatment index, outcome) pairs
         self.states: dict = {}  # shard id -> snapshot, journalled runs only
         self.spans: dict = {}  # span trees from all shards, traced runs only
@@ -479,7 +455,7 @@ class _Executor:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        """Open the merge (replaying a journal's durable prefix), hand out shards."""
+        """Open the merge (replaying a journal's durable prefix), spawn shards."""
         resume = self.merge.open([shard.indices for shard in self.shards])
         self.next_flush = resume.next_ordinal
         for shard in self.shards:
@@ -488,47 +464,31 @@ class _Executor:
             if shard.snapshot is not None and "quarantined" in shard.snapshot:
                 self._quarantine(shard)
             else:
-                self._assign(shard, self._spawn_slot())
+                self._spawn(shard)
 
-    def _spawn_slot(self) -> _WorkerSlot:
-        worker_id = len(self.slots)
-        command_queue = self.context.Queue()
-        process = self.context.Process(
-            target=_worker_loop,
+    def _spawn(self, shard: _ShardState) -> None:
+        """Start the shard's current generation from its resume point."""
+        shard.process = self.context.Process(
+            target=_worker_main,
             args=(
-                worker_id,
+                shard.shard_id,
+                shard.generation,
+                shard.indices,
+                shard.next_ordinal,
+                shard.snapshot,
                 self.payload,
                 self.result_queue,
-                command_queue,
                 self.kill_specs,
                 self.recover,
                 self.capture,
                 self.trace,
             ),
-            name=f"crawl-worker-{worker_id}",
+            name=f"crawl-shard-{shard.shard_id}",
             daemon=True,
         )
-        process.start()
-        slot = _WorkerSlot(
-            worker_id=worker_id, process=process, command_queue=command_queue
-        )
-        self.slots.append(slot)
-        return slot
-
-    def _assign(self, shard: _ShardState, slot: _WorkerSlot) -> None:
-        slot.shard = shard.shard_id
-        slot.last_message_wall = time.monotonic()
-        slot.leader_at_assign = self._leader()
-        slot.command_queue.put(
-            (
-                "run",
-                shard.shard_id,
-                shard.indices,
-                shard.next_ordinal,
-                shard.snapshot,
-                shard.generation,
-            )
-        )
+        shard.process.start()
+        shard.last_message_wall = time.monotonic()
+        shard.leader_at_spawn = self._leader()
 
     def run(self) -> None:
         while not all(s.done or s.quarantined for s in self.shards):
@@ -555,41 +515,34 @@ class _Executor:
         self.merge.close(self.report)
 
     def _shutdown(self) -> None:
-        # Idle workers exit on command; a busy one means the run is
-        # being abandoned, so it is terminated (and its command queue
-        # is not waited on — the dead reader may never drain it).
-        for slot in self.slots:
-            if slot.dead:
-                continue
-            if slot.shard is None:
-                slot.command_queue.put(("exit",))
-            else:
-                slot.process.terminate()
-                slot.command_queue.cancel_join_thread()
+        # A finished shard's worker exits on its own; a busy one means
+        # the run is being abandoned, so it is terminated.
+        for shard in self.shards:
+            if shard.process is not None and not shard.done:
+                shard.process.terminate()
         deadline = time.monotonic() + 5.0
-        for slot in self.slots:
-            slot.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if slot.process.is_alive():
-                slot.process.terminate()
-                slot.process.join()
+        for shard in self.shards:
+            if shard.process is None:
+                continue
+            shard.process.join(timeout=max(0.0, deadline - time.monotonic()))
+            if shard.process.is_alive():
+                shard.process.terminate()
+                shard.process.join()
 
     # -- message handling ----------------------------------------------------
 
     def _dispatch(self, message) -> None:
-        kind, worker_id, shard_id = message[:3]
+        kind, shard_id, generation = message[:3]
         shard = self.shards[shard_id]
-        slot = self.slots[worker_id]
-        slot.last_message_wall = time.monotonic()
-        slot.leader_at_assign = None
+        if shard.done or shard.quarantined or generation != shard.generation:
+            return  # a settled shard, or an earlier generation's leftovers
+        shard.last_message_wall = time.monotonic()
+        shard.leader_at_spawn = None
         if kind == "heartbeat":
-            ordinal, timestamp = message[3:]
-            if ordinal >= shard.next_ordinal:  # else a stale incarnation
-                shard.last_virtual = timestamp
-                self.stats.heartbeats += 1
+            shard.last_virtual = message[3]
+            self.stats.heartbeats += 1
         elif kind == "round":
             ordinal, outcomes, state, round_spans = message[3:]
-            if shard.done or shard.quarantined or ordinal != shard.next_ordinal:
-                return  # duplicate from a dead incarnation
             self.pending.setdefault(ordinal, []).extend(outcomes)
             if round_spans is not None:
                 self.spans.setdefault(ordinal, []).extend(round_spans)
@@ -603,23 +556,20 @@ class _Executor:
             self._flush_ready()
         elif kind == "shard-done":
             stats, fault_stats, rebuilt = message[3:]
-            if shard.done or shard.quarantined or shard.next_ordinal != self.total_rounds:
-                return  # settled, or a stale incarnation behind a newer one
             shard.done = True
-            # The completing incarnation restored the shard's snapshot,
+            # The completing generation restored the shard's snapshot,
             # so its counters cover the *whole* shard — merge once.
             self.study.stats.merge(stats)
             self.study.fault_stats.merge(fault_stats)
             self.study.worker_rebuilds += rebuilt
-            self._release_slot(slot)
-        else:  # "error"
+        else:  # "error": the worker reported its traceback and is exiting
             tb = message[3]
             if not self.recover:
-                raise RuntimeError(f"crawl worker {worker_id} failed:\n{tb}")
-            slot.shard = None
+                raise RuntimeError(f"crawl worker {shard_id} failed:\n{tb}")
+            shard.process.join()
             self.stats.worker_errors += 1
             detail = tb.strip().splitlines()[-1] if tb.strip() else "unknown error"
-            self._handle_failure(shard, slot, "worker-error", detail)
+            self._handle_failure(shard, "worker-error", detail)
 
     def _flush_ready(self) -> None:
         """Commit every round all shards delivered, in schedule order."""
@@ -646,31 +596,31 @@ class _Executor:
     def _watchdog(self) -> None:
         now = time.monotonic()
         leader = self._leader()
-        for slot in self.slots:
-            if slot.dead or slot.shard is None:
+        for shard in self.shards:
+            if shard.done or shard.quarantined:
                 continue
-            shard = self.shards[slot.shard]
-            if slot.process.exitcode is not None:
+            process = shard.process
+            if process.exitcode is not None:
                 # Drain in-flight messages first: the dead worker's
                 # final rounds may still sit in the queue, and accepting
                 # them moves the resume point forward.
                 self._drain()
-                if slot.dead or slot.shard is None:
-                    continue  # the drain resolved it (e.g. shard-done)
+                if shard.done or shard.quarantined or shard.process is not process:
+                    continue  # the drain settled it (shard-done or error)
                 self.stats.crashes_detected += 1
                 kind = "crash-detected"
-                detail = f"exit code {slot.process.exitcode}"
+                detail = f"exit code {process.exitcode}"
             else:
-                silence = now - slot.last_message_wall
+                silence = now - shard.last_message_wall
                 wall_stalled = silence >= self.policy.stall_timeout_seconds
                 # Until its first message a worker is building its
                 # study and restoring the shard's snapshot, so it is
                 # late only once the leader has moved on since the
-                # assignment, not for where the leader already stood
-                # (a replacement starts behind).
+                # spawn, not for where the leader already stood (a
+                # respawned shard starts behind).
                 start = shard.next_ordinal
-                if slot.leader_at_assign is not None:
-                    start = max(start, slot.leader_at_assign)
+                if shard.leader_at_spawn is not None:
+                    start = max(start, shard.leader_at_spawn)
                 virtual_stalled = (
                     silence >= self.policy.stall_grace_seconds
                     and leader - start >= self.policy.stall_rounds
@@ -678,8 +628,8 @@ class _Executor:
                 if not (wall_stalled or virtual_stalled):
                     continue
                 self.stats.stalls_detected += 1
-                slot.process.kill()
-                slot.process.join()
+                process.kill()
+                process.join()
                 kind = "stall-detected"
                 detail = (
                     f"{'wall watchdog' if wall_stalled else 'virtual deadline'}: "
@@ -687,12 +637,8 @@ class _Executor:
                     f"(leader {leader})"
                 )
             if not self.recover:
-                raise WorkerFailure(
-                    slot.worker_id, slot.process.exitcode, shard.indices
-                )
-            slot.dead = True
-            slot.shard = None
-            self._handle_failure(shard, slot, kind, detail)
+                raise WorkerFailure(shard.shard_id, process.exitcode, shard.indices)
+            self._handle_failure(shard, kind, detail)
 
     def _drain(self) -> None:
         """Process every message already in the queue, without blocking."""
@@ -705,11 +651,10 @@ class _Executor:
 
     # -- recovery ------------------------------------------------------------
 
-    def _event(self, kind: str, shard: _ShardState, worker: int, detail: str) -> None:
+    def _event(self, kind: str, shard: _ShardState, detail: str) -> None:
         self.report.record(
             SupervisorEvent(
                 kind=kind,
-                worker=worker,
                 shard=shard.shard_id,
                 generation=shard.generation,
                 resume_ordinal=shard.next_ordinal,
@@ -718,78 +663,21 @@ class _Executor:
             )
         )
 
-    def _handle_failure(
-        self, shard: _ShardState, slot: _WorkerSlot, kind: str, detail: str
-    ) -> None:
-        if shard.done or shard.quarantined:
-            return
+    def _handle_failure(self, shard: _ShardState, kind: str, detail: str) -> None:
+        """Respawn the failed shard as itself, or quarantine it."""
         shard.generation += 1
         shard.failures_since_progress += 1
-        self._event(kind, shard, slot.worker_id, detail)
+        self._event(kind, shard, detail)
         if shard.failures_since_progress >= self.policy.quarantine_after:
             self._quarantine(shard)
             return
-        self._recover(shard)
-
-    def _recover(self, shard: _ShardState) -> None:
-        # Cheapest first: an idle surviving worker takes the shard with
-        # no new process.  Otherwise respawn (within budget) to keep
-        # pool capacity; otherwise park the shard until a survivor goes
-        # idle — graceful degradation from N workers to N-1 ... 1.
-        for slot in self.slots:
-            if not slot.dead and slot.shard is None and slot.process.is_alive():
-                self._reassign(shard, slot)
-                return
-        budget_left = (
-            self.policy.max_respawns is None
-            or self.respawns_used < self.policy.max_respawns
-        )
-        survivors = any(
-            not slot.dead and slot.process.is_alive() for slot in self.slots
-        )
-        if budget_left or not survivors:
-            # A respawn past the budget only happens when the pool is
-            # empty — the alternative is deadlock, not degradation.
-            self._respawn(shard)
-            return
-        self.orphans.append(shard.shard_id)
-
-    def _respawn(self, shard: _ShardState) -> None:
-        self.respawns_used += 1
         self.stats.respawns += 1
-        slot = self._spawn_slot()
-        self._assign(shard, slot)
+        self._spawn(shard)
         self._event(
             "respawned",
             shard,
-            slot.worker_id,
             f"replacement process (generation {shard.generation})",
         )
-
-    def _reassign(self, shard: _ShardState, slot: _WorkerSlot) -> None:
-        self.stats.reassignments += 1
-        self._retire_dead_slots()
-        self._assign(shard, slot)
-        self._event(
-            "reassigned",
-            shard,
-            slot.worker_id,
-            f"to surviving worker {slot.worker_id} "
-            f"(generation {shard.generation})",
-        )
-
-    def _retire_dead_slots(self) -> None:
-        """Book lost capacity once per dead slot we chose not to replace."""
-        for slot in self.slots:
-            if slot.dead and not slot.retired:
-                slot.retired = True
-                self.stats.workers_lost += 1
-
-    def _release_slot(self, slot: _WorkerSlot) -> None:
-        slot.shard = None
-        if self.orphans:
-            shard = self.shards[self.orphans.popleft()]
-            self._reassign(shard, slot)
 
     # -- quarantine ----------------------------------------------------------
 
@@ -814,7 +702,6 @@ class _Executor:
         self._event(
             "quarantined",
             shard,
-            -1,
             f"after {marker['failures']} consecutive failures "
             f"without progress; rounds {marker['quarantined']}.."
             f"{self.total_rounds - 1} forfeited",
@@ -905,16 +792,18 @@ def run_parallel(
             restarts every shard from its durable boundary with its
             own state restored, after the merge releases the
             journalled rounds (and, traced, their spans) again.
-        supervise: Turn recovery on: crashed, hung, and erroring
-            workers' shards are re-executed from their last snapshot
-            instead of failing the run, and the
+        supervise: Turn recovery on: a crashed, hung, or erroring
+            shard is respawned as itself (a new worker process,
+            generation + 1) from its last snapshot instead of failing
+            the run, and the
             :class:`~repro.supervise.stats.SupervisorReport` (counters
             + ordered recovery ledger) is left on ``study.supervisor``.
             Off, the first crash or stall raises :class:`WorkerFailure`
             and a worker exception raises with its traceback.
         policy: Optional :class:`~repro.supervise.SupervisorPolicy`.
             Its detection fields (stall deadlines, poll interval) apply
-            to every run; its recovery fields only with ``supervise``.
+            to every run; its recovery field (``quarantine_after``)
+            only with ``supervise``.
         kill_specs: Optional :class:`~repro.supervise.KillSpec` murder
             points (supervised runs only — tests and the chaos CLI).
 

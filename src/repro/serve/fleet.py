@@ -42,7 +42,10 @@ Failover is deterministic and observable.  In order:
 Every rung shows up as tracer events (``fleet.*``) and counters in
 :class:`~repro.serve.stats.FleetStats`, whose four outcome counters
 partition offered requests exactly — the accounting invariant the
-chaos harness audits.
+chaos harness audits.  Each fault, backfill and brownout transition is
+reported through one hook, :meth:`GatewayFleet._control`, which writes
+the ``fleet.<control>`` tracer event and the ``serve.control`` wide
+event with the same attrs.
 
 Faults are injected per request from the
 :class:`~repro.faults.plan.FaultPlan` serve gates, keyed on the request
@@ -301,6 +304,19 @@ class GatewayFleet:
         """The primary owner of a cache key (tests and introspection)."""
         return self.ring.owners(HashRing.hash_key(shard_key_of(key)), 1)[0]
 
+    def _control(self, control: str, now: float, key: Tuple, **attrs) -> None:
+        """Report one fleet transition (fault, backfill, brownout) once.
+
+        The ``fleet.<control>`` tracer event and the ``serve.control``
+        wide event carry the same attrs, so the two records cannot
+        drift apart."""
+        if self._tracer.enabled:
+            self._tracer.event(f"fleet.{control}", at=now, **attrs)
+        if self.events.enabled:
+            self.events.emit(
+                "serve.control", key=key, control=control, ts=now, **attrs
+            )
+
     # -- request path ---------------------------------------------------------
 
     def submit(self, request) -> GatewayResult:
@@ -312,16 +328,12 @@ class GatewayFleet:
             self._tracer.begin(
                 "fleet.request", start=now, query=request.query_text
             )
-        self._advance(now, tracing)
-        self._update_brownout(now, tracing)
+        self._advance(now)
+        self._update_brownout(now)
 
         key, owners, hot = self._route(request)
         primary = owners[0]
-        fault = (
-            self._inject(request, primary, tracing)
-            if self.plan is not None
-            else None
-        )
+        fault = self._inject(request, primary) if self.plan is not None else None
 
         if self._browned_out and self._sheds_in_brownout(request.nonce):
             self.stats.brownout_shed += 1
@@ -462,7 +474,7 @@ class GatewayFleet:
 
     # -- fault injection ------------------------------------------------------
 
-    def _inject(self, request, primary: str, tracing: bool) -> Optional[str]:
+    def _inject(self, request, primary: str) -> Optional[str]:
         """Fire this request's serve fault (if any) at the primary owner.
 
         Returns the fault kind value so the request's wide event can
@@ -489,23 +501,13 @@ class GatewayFleet:
         self.stats.faults_injected[kind.value] = (
             self.stats.faults_injected.get(kind.value, 0) + 1
         )
-        if tracing:
-            self._tracer.event(
-                "fleet.fault",
-                at=now,
-                kind=kind.value,
-                shard=shard.name,
-                until=round(until, 3),
-            )
-        if self.events.enabled:
-            self.events.emit(
-                "serve.control",
-                key=("fault", kind.value),
-                control=f"fault.{kind.value}",
-                ts=now,
-                shard=shard.name,
-                until=round(until, 3),
-            )
+        self._control(
+            f"fault.{kind.value}",
+            now,
+            ("fault", kind.value),
+            shard=shard.name,
+            until=round(until, 3),
+        )
         return kind.value
 
     def _apply_slowdown(self, shard: FleetShard, until: float) -> None:
@@ -523,7 +525,7 @@ class GatewayFleet:
 
     # -- healing --------------------------------------------------------------
 
-    def _advance(self, now: float, tracing: bool) -> None:
+    def _advance(self, now: float) -> None:
         """Heal every outage whose window has elapsed.
 
         Crash recovery triggers the anti-entropy rung: the rejoined
@@ -541,11 +543,11 @@ class GatewayFleet:
                 shard.down_until = 0.0
                 if shard.needs_backfill:
                     shard.needs_backfill = False
-                    self._backfill(shard, now, tracing)
+                    self._backfill(shard, now)
             if shard.partitioned_until and now >= shard.partitioned_until:
                 shard.partitioned_until = 0.0
 
-    def _backfill(self, shard: FleetShard, now: float, tracing: bool) -> None:
+    def _backfill(self, shard: FleetShard, now: float) -> None:
         """Anti-entropy: copy the shard's owned inventory from peers.
 
         Reads peers through :meth:`SerpCache.peek` (repair traffic must
@@ -575,19 +577,10 @@ class GatewayFleet:
                     copied += 1
         self.stats.backfills += 1
         self.stats.backfilled_entries += copied
-        if tracing:
-            self._tracer.event(
-                "fleet.backfill", at=now, shard=shard.name, entries=copied
-            )
-        if self.events.enabled:
-            self.events.emit(
-                "serve.control",
-                key=("backfill", shard.name),
-                control="backfill",
-                ts=now,
-                shard=shard.name,
-                entries=copied,
-            )
+        self._control(
+            "backfill", now, ("backfill", shard.name),
+            shard=shard.name, entries=copied,
+        )
 
     # -- brownout (SLO controller) --------------------------------------------
 
@@ -597,7 +590,7 @@ class GatewayFleet:
             < self.brownout.shed_fraction
         )
 
-    def _update_brownout(self, now: float, tracing: bool) -> None:
+    def _update_brownout(self, now: float) -> None:
         """Prune the window and flip the brownout state machine."""
         if self.brownout is None:
             return
@@ -616,39 +609,24 @@ class GatewayFleet:
         ):
             self._browned_out = True
             self.stats.brownout_entries += 1
-            if tracing:
-                self._tracer.event(
-                    "fleet.brownout.enter",
-                    at=now,
-                    bad_fraction=round(fraction, 4),
-                )
             self._emit_brownout("brownout.enter", now, fraction, total)
         elif self._browned_out and fraction <= self.brownout.max_bad_fraction / 2:
             self._browned_out = False
-            if tracing:
-                self._tracer.event(
-                    "fleet.brownout.exit",
-                    at=now,
-                    bad_fraction=round(fraction, 4),
-                )
             self._emit_brownout("brownout.exit", now, fraction, total)
 
     def _emit_brownout(
         self, control: str, now: float, fraction: float, total: int
     ) -> None:
-        """Journal one brownout transition with its exact window integers.
+        """Report one brownout transition with its exact window integers.
 
         The SLO engine replays the window from the serve events'
         ``counted`` marks and must land on these very (bad, total)
         numbers — the integers are the proof there is no second source
         of truth."""
-        if not self.events.enabled:
-            return
-        self.events.emit(
-            "serve.control",
-            key=(control,),
-            control=control,
-            ts=now,
+        self._control(
+            control,
+            now,
+            (control,),
             bad_fraction=round(fraction, 4),
             window_bad=self._window_bad,
             window_total=total,

@@ -5,8 +5,11 @@ like every other stats holder in the repo — plain summable counters —
 so it snapshots, restores, and registers into the unified metrics
 registry with zero bespoke plumbing.  :class:`SupervisorEvent` records
 are the *ledger*: one structured entry per detection/recovery action,
-in the order the supervisor took them, which is what
-``repro chaos --kill-workers`` prints and CI uploads as an artifact.
+kept in (shard, generation) order, which is what
+``repro chaos --kill-workers`` prints and writes with ``--ledger``.
+Every recovery is a respawn of the failed shard as itself, so a
+crash-only run writes the same ledger every time; a stall judged by
+wall-clock deadlines still carries its measured silence in ``detail``.
 
 Counters and ledger answer different questions: the counters say *how
 much* supervision happened (and merge into the registry), the ledger
@@ -39,11 +42,7 @@ class SupervisorStats(MetricSet):
     worker_errors: int = 0
     """Shard executions that raised inside a live worker."""
     respawns: int = 0
-    """Replacement worker processes spawned."""
-    reassignments: int = 0
-    """Shards handed to a surviving worker instead of a respawn."""
-    workers_lost: int = 0
-    """Worker slots permanently retired (degradation N -> N-1)."""
+    """Shards restarted as themselves in a replacement process."""
     quarantined_shards: int = 0
     """Shards given up on after K deterministic failures."""
     quarantined_failures: int = 0
@@ -51,8 +50,8 @@ class SupervisorStats(MetricSet):
 
     @property
     def recoveries(self) -> int:
-        """Recovery actions taken (respawn or reassign)."""
-        return self.respawns + self.reassignments
+        """Recovery actions taken (every recovery is a respawn)."""
+        return self.respawns
 
 
 @dataclass(frozen=True)
@@ -61,9 +60,7 @@ class SupervisorEvent:
 
     kind: str
     """``crash-detected`` / ``stall-detected`` / ``worker-error`` /
-    ``respawned`` / ``reassigned`` / ``quarantined``."""
-    worker: int
-    """Worker slot the event concerns."""
+    ``respawned`` / ``quarantined``."""
     shard: int
     """Shard (index into the run's shard plan) the event concerns."""
     generation: int
@@ -73,7 +70,7 @@ class SupervisorEvent:
     virtual_minutes: float
     """Virtual time of the shard's last heartbeat (schedule position)."""
     detail: str = ""
-    """Human-readable specifics (exit code, silence, survivor, ...)."""
+    """Human-readable specifics (exit code, silence, generation, ...)."""
 
 
 @dataclass
@@ -81,12 +78,19 @@ class SupervisorReport:
     """What a supervised run leaves behind: counters + ordered ledger."""
 
     workers: int
-    """Worker slots the run started with."""
+    """Shards the run was planned with (one worker process each)."""
     stats: SupervisorStats = field(default_factory=SupervisorStats)
     events: List[SupervisorEvent] = field(default_factory=list)
 
     def record(self, event: SupervisorEvent) -> None:
+        """Add one entry, keeping the ledger in (shard, generation) order.
+
+        The sort is stable, so a detection stays ahead of the respawn
+        or quarantine it caused, and the ledger does not depend on which
+        dead worker the parent noticed first.
+        """
         self.events.append(event)
+        self.events.sort(key=lambda entry: (entry.shard, entry.generation))
 
     @property
     def clean(self) -> bool:
@@ -115,7 +119,7 @@ class SupervisorReport:
                 "end": event.virtual_minutes,
                 "attrs": {
                     key: getattr(event, key)
-                    for key in ("worker", "shard", "generation", "resume_ordinal")
+                    for key in ("shard", "generation", "resume_ordinal")
                 },
                 "events": [],
                 "children": [],
@@ -131,8 +135,7 @@ class SupervisorReport:
             f"(workers={self.workers}, heartbeats={stats.heartbeats}):",
             f"  detected   crashes={stats.crashes_detected} "
             f"stalls={stats.stalls_detected} errors={stats.worker_errors}",
-            f"  recovered  respawned={stats.respawns} "
-            f"reassigned={stats.reassignments} workers-lost={stats.workers_lost}",
+            f"  recovered  respawned={stats.respawns}",
             f"  quarantined shards={stats.quarantined_shards} "
             f"(synthesized failures={stats.quarantined_failures})",
         ]
@@ -140,8 +143,8 @@ class SupervisorReport:
         for event in events:
             lines.append(
                 f"  t={event.virtual_minutes:9.2f}  {event.kind:16s} "
-                f"shard={event.shard} worker={event.worker} "
-                f"gen={event.generation} resume@{event.resume_ordinal}"
+                f"shard={event.shard} gen={event.generation} "
+                f"resume@{event.resume_ordinal}"
                 + (f"  {event.detail}" if event.detail else "")
             )
         if not self.events:

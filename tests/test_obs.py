@@ -266,6 +266,32 @@ class TestTraceDeterminism:
         assert not study.tracer.enabled
 
 
+def _unreadable_traces(tmp_path):
+    """An untraced event log and a pre-one-log trace file, each mapped
+    to the problem ``validate_trace`` reports for it."""
+    untraced = tmp_path / "untraced.events.jsonl"
+    log = EventLog(untraced, log_id="abc")
+    log.emit({"id": "e0", "stream": "crawl", "ts": 0.0})
+    log.close()
+    old_format = tmp_path / "old.trace.jsonl"
+    old_format.write_text(
+        "".join(
+            reframe_line(json.dumps(record)) + "\n"
+            for record in (
+                {"kind": "header", "version": 1, "trace_id": "abc", "meta": {}},
+                {"kind": "span", "id": "r", "parent": "", "name": "study.run",
+                 "start": 0.0, "end": 0.0, "attrs": {}, "events": []},
+                {"kind": "summary", "trace_id": "abc", "rounds": 0, "spans": 1},
+            )
+        ),
+        encoding="utf-8",
+    )
+    return {
+        untraced: "written without --trace",
+        old_format: "unknown wide-event record kind 'span'",
+    }
+
+
 class TestTraceFile:
     @pytest.fixture(scope="class")
     def trace_path(self, tmp_path_factory):
@@ -326,23 +352,6 @@ class TestTraceFile:
             )
             return path
 
-        untraced = tmp_path / "untraced.events.jsonl"
-        log = EventLog(untraced, log_id="abc")
-        log.emit({"id": "e0", "stream": "crawl", "ts": 0.0})
-        log.close()
-        old_format = tmp_path / "old.trace.jsonl"
-        old_format.write_text(
-            "".join(
-                reframe_line(json.dumps(record)) + "\n"
-                for record in (
-                    {"kind": "header", "version": 1, "trace_id": "abc", "meta": {}},
-                    {"kind": "span", "id": "r", "parent": "", "name": "study.run",
-                     "start": 0.0, "end": 0.0, "attrs": {}, "events": []},
-                    {"kind": "summary", "trace_id": "abc", "rounds": 0, "spans": 1},
-                )
-            ),
-            encoding="utf-8",
-        )
         cases = {
             damaged(
                 "no-end.trace.jsonl", lambda tree: tree["children"][0].pop("end")
@@ -350,8 +359,7 @@ class TestTraceFile:
             damaged(
                 "no-ordinal.trace.jsonl", lambda tree: tree["attrs"].pop("ordinal")
             ): "has no ordinal",
-            untraced: "written without --trace",
-            old_format: "unknown wide-event record kind 'span'",
+            **_unreadable_traces(tmp_path),
         }
         for path, expected in cases.items():
             problems = validate_trace(path)
@@ -359,6 +367,22 @@ class TestTraceFile:
             assert main(["trace", str(path), "--check"]) == 1
             err = capsys.readouterr().err
             assert "INVALID: " in err and expected in err
+
+    def test_outputs_report_unreadable_logs_without_raising(self, tmp_path, capsys):
+        # The profile and the three exports validate first too: an
+        # untraced log is not an empty trace, and an unknown record
+        # kind is an INVALID: line, not a traceback.
+        from repro.cli import main
+
+        out = tmp_path / "out"
+        for path, expected in _unreadable_traces(tmp_path).items():
+            for flags in ([], ["--chrome", str(out)], ["--folded", str(out)],
+                          ["--speedscope", str(out)]):
+                assert main(["trace", str(path), *flags]) == 1, flags
+                captured = capsys.readouterr()
+                assert "INVALID: " in captured.err and expected in captured.err
+                assert captured.out == ""
+                assert not out.exists()
 
     def test_header_meta_is_the_fingerprint(self, trace_path):
         header, _, _ = read_trace(trace_path)

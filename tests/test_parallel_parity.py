@@ -301,29 +301,26 @@ class TestZeroRebuildWorkers:
         assert study.worker_rebuilds == 2
 
     def test_worker_main_reports_rebuild_path(self):
-        from repro.parallel.executor import _worker_loop
+        from repro.parallel.executor import _worker_main
 
         class Sink:
-            def __init__(self, messages=()):
-                self.messages = list(messages)
+            def __init__(self):
+                self.messages = []
 
             def put(self, message):
                 self.messages.append(message)
-
-            def get(self):
-                return self.messages.pop(0)
 
         config = _config()
         study = Study(config)
         study.prefork_warmup()
         plan = plan_shards(len(study.treatments), len(study.fleet), 2)
 
-        def run_worker(worker_id, payload):
+        def run_worker(shard, payload):
             results = Sink()
-            commands = Sink(
-                [("run", worker_id, plan.assignments[worker_id], 0, None, 0), ("exit",)]
+            _worker_main(
+                shard, 0, plan.assignments[shard], 0, None, payload,
+                results, (), False, False, False,
             )
-            _worker_loop(worker_id, payload, results, commands, (), False, False, False)
             return results.messages[-1]
 
         done = run_worker(0, study)

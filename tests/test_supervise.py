@@ -24,8 +24,14 @@ from repro.obs.events import read_events
 from repro.obs.exporters import validate_trace
 from repro.obs.trace import study_span_id
 from repro.parallel import WorkerFailure, plan_shards, run_parallel
+from repro.parallel.executor import _WorkerHarness
 from repro.queries.corpus import build_corpus
-from repro.supervise import KillSpec, SupervisorPolicy
+from repro.supervise import (
+    KillSpec,
+    SupervisorEvent,
+    SupervisorPolicy,
+    SupervisorReport,
+)
 
 #: Fast stall detection for tests: tenths of a second, not minutes.
 FAST_STALLS = SupervisorPolicy(
@@ -79,8 +85,6 @@ class TestValidation:
             SupervisorPolicy(quarantine_after=0)
         with pytest.raises(ValueError):
             SupervisorPolicy(stall_rounds=0)
-        with pytest.raises(ValueError):
-            SupervisorPolicy(max_respawns=-1)
 
     def test_supervise_knobs_require_supervise(self):
         with pytest.raises(ValueError, match="supervise"):
@@ -159,20 +163,6 @@ class TestCrashRecovery:
         assert study.supervisor.stats.crashes_detected == 1
         assert study.stats == seq.stats
 
-    def test_reassignment_when_respawn_budget_exhausted(self, baseline):
-        expected, _ = baseline
-        got, study = _run(
-            _config(),
-            workers=2,
-            policy=SupervisorPolicy(max_respawns=0),
-            kill_specs=(KillSpec(shard=0, ordinal=0),),
-        )
-        assert got == expected
-        stats = study.supervisor.stats
-        assert stats.respawns == 0
-        assert stats.reassignments == 1
-        assert stats.workers_lost == 1
-
 
 class TestStallRecovery:
     def test_virtual_deadline_detects_hang(self, baseline):
@@ -226,6 +216,42 @@ class TestStallRecovery:
         )
         assert got == expected
         assert study.supervisor.stats.stalls_detected == 1
+
+
+class TestWorkerError:
+    def test_raising_shard_recovers_with_a_respawn(self, baseline, monkeypatch):
+        # Shard 0's first execution delivers round 0, then raises; the
+        # worker reports its traceback and exits, and the shard is
+        # respawned as itself from round 1.  Workers fork, so they
+        # inherit the patch; the respawn starts at round 1 and runs clean.
+        original = Study.run_shard
+
+        def raising(self, indices, *, on_round, start_ordinal=0, **kwargs):
+            if 0 in indices and start_ordinal == 0:
+                deliver = on_round
+
+                def on_round(ordinal, *args):
+                    deliver(ordinal, *args)
+                    raise RuntimeError("injected shard error")
+
+            return original(
+                self, indices, on_round=on_round, start_ordinal=start_ordinal,
+                **kwargs,
+            )
+
+        monkeypatch.setattr(Study, "run_shard", raising)
+        expected, seq = baseline
+        got, study = _run(_config(), workers=2)
+        assert got == expected
+        ledger = study.supervisor.events
+        assert [(e.kind, e.shard, e.resume_ordinal) for e in ledger] == [
+            ("worker-error", 0, 1),
+            ("respawned", 0, 1),
+        ]
+        assert "injected shard error" in ledger[0].detail
+        stats = study.supervisor.stats
+        assert (stats.worker_errors, stats.respawns, stats.crashes_detected) == (1, 1, 0)
+        assert study.stats == seq.stats
 
 
 class TestQuarantine:
@@ -359,8 +385,6 @@ class TestObservability:
         assert validate_trace(trace) == []
         header, events, _ = read_events(trace)
         ledger = study.supervisor.events
-        # A crash, then a respawn or, if the other worker is idle by
-        # then, a reassignment.
         assert len(ledger) == 2 and ledger[0].kind == "crash-detected"
         *recoveries, root = [e for e in events if e["stream"] == "span"][-3:]
         assert root["name"] == "study.run"
@@ -368,7 +392,6 @@ class TestObservability:
             assert span["name"] == f"supervisor.{event.kind}"
             # The kill fires after round 1 is delivered: shard 0 resumes at 2.
             assert span["attrs"] == {
-                "worker": event.worker,
                 "shard": 0,
                 "generation": event.generation,
                 "resume_ordinal": 2,
@@ -392,3 +415,66 @@ class TestObservability:
         rendered = study.supervisor.render()
         assert "crash-detected" in rendered
         assert "supervision ledger" in rendered
+
+
+def _ledger_event(kind, shard, generation):
+    return SupervisorEvent(
+        kind=kind,
+        shard=shard,
+        generation=generation,
+        resume_ordinal=1,
+        virtual_minutes=11.0,
+        detail="exit code 73" if kind == "crash-detected" else "",
+    )
+
+
+class TestCanonicalLedger:
+    def test_ledger_is_kept_in_shard_then_generation_order(self):
+        report = SupervisorReport(workers=2)
+        recorded = [
+            _ledger_event("crash-detected", 1, 1),
+            _ledger_event("respawned", 1, 1),
+            _ledger_event("crash-detected", 0, 1),
+            _ledger_event("respawned", 0, 1),
+        ]
+        for event in recorded:
+            report.record(event)
+        expected = [recorded[2], recorded[3], recorded[0], recorded[1]]
+        assert report.events == expected
+        assert [(e["kind"], e["shard"]) for e in report.to_dict()["events"]] == [
+            (e.kind, e.shard) for e in expected
+        ]
+        trees = report.trace_trees("abc")
+        assert [(t["name"], t["attrs"]["shard"]) for t in trees] == [
+            (f"supervisor.{e.kind}", e.shard) for e in expected
+        ]
+
+    def test_two_crashes_log_the_same_bytes_whichever_is_noticed_first(
+        self, tmp_path, monkeypatch
+    ):
+        # Both shards die after delivering round 1; each run delays a
+        # different shard's death, so the parent notices the two crashes
+        # in opposite orders.  The log and the ledger must not show it.
+        die = _WorkerHarness._die
+        kills = (KillSpec(shard=0, ordinal=1), KillSpec(shard=1, ordinal=1))
+        runs = []
+        for late in (1, 0):
+
+            def late_die(harness, mode, *, flush, late=late):
+                if harness.shard_id == late:
+                    time.sleep(0.5)
+                die(harness, mode, flush=flush)
+
+            monkeypatch.setattr(_WorkerHarness, "_die", late_die)
+            log = tmp_path / f"late-{late}.log.jsonl"
+            _, study = _run(_config(), workers=2, trace=str(log), kill_specs=kills)
+            runs.append((log.read_bytes(), study.supervisor.to_dict()))
+        (first_log, first_ledger), (second_log, second_ledger) = runs
+        assert first_ledger == second_ledger
+        assert first_log == second_log
+        assert [(e["kind"], e["shard"]) for e in first_ledger["events"]] == [
+            ("crash-detected", 0),
+            ("respawned", 0),
+            ("crash-detected", 1),
+            ("respawned", 1),
+        ]

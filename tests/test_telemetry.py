@@ -15,6 +15,7 @@ The tentpole invariants under test:
   speedscope) conserve the trace's virtual time.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -419,6 +420,56 @@ class TestBrownoutAccounting:
         assert len(firing) == report.brownout_entries
         ats = [entry["at"] for entry in slo_report.ledger]
         assert ats == sorted(ats)
+
+
+class TestFleetControlHook:
+    """``GatewayFleet._control`` reports each fault, backfill and
+    brownout transition once, as both records: the ``fleet.<control>``
+    tracer event and the ``serve.control`` wide event."""
+
+    CONTROL_EVENTS = (
+        "fleet.fault.",
+        "fleet.backfill",
+        "fleet.brownout.enter",
+        "fleet.brownout.exit",
+    )
+
+    def test_each_control_is_one_tracer_event_with_the_same_attrs(self, tmp_path):
+        policy = BrownoutPolicy(
+            window_minutes=2.0, max_bad_fraction=0.1, min_window_requests=10
+        )
+        harness = _serve_harness(brownout=policy)
+        # Short, frequent gateway crashes, so a crashed shard rejoins
+        # (and backfills) inside the run.
+        harness.fleet.plan = dataclasses.replace(
+            harness.fleet.plan, gateway_crash_rate=0.01, serve_outage_minutes=2.0
+        )
+        tracer = Tracer()
+        tracer.enable(trace_id_for({"test": "fleet-control"}))
+        harness.fleet.tracer = tracer
+        path = tmp_path / "events.jsonl"
+        harness.run(300, events=str(path))
+        _, events, _ = read_events(str(path))
+        controls = [e for e in events if e["stream"] == "serve.control"]
+        # Control events attach to the request's root span, ahead of
+        # any shard span it opens, so root order is emission order.
+        traced = [
+            event
+            for tree in tracer.drain()
+            for event in tree["events"]
+            if event["name"].startswith(self.CONTROL_EVENTS)
+        ]
+        bookkeeping = {"kind", "id", "stream", "control", "ts"}
+        assert [(e["name"], e["at"], e["attrs"]) for e in traced] == [
+            (
+                f"fleet.{c['control']}",
+                c["ts"],
+                {k: v for k, v in c.items() if k not in bookkeeping},
+            )
+            for c in controls
+        ]
+        kinds = {c["control"].split(".")[0] for c in controls}
+        assert {"fault", "backfill", "brownout"} <= kinds
 
 
 class TestAuditEventsInLedger:
